@@ -5,13 +5,18 @@ fit and batch kNN predict — against the verbatim pre-kernel implementations
 preserved in :mod:`repro.learners._reference`, asserting **score-identical
 outputs in the same run** (the equivalence suite proves bit-identity on more
 datasets; here it gates the timing so a fast-but-wrong kernel can never pass).
+Rule fit (vectorized condition scoring) and Bagging fit (members on shared
+sort orders) are measured and recorded the same way, outputs asserted
+identical, without a floor.
 
 Also quantifies the engine data plane's dispatch saving: per-trial submits
 must pickle the objective *without* its matrices, and every process-backend
 trial must re-bind the payload from its worker-local registry.
 
-Each run refreshes ``benchmarks/BENCH_kernels.json`` with the measured
-numbers; the committed snapshot records the machine-of-record baseline.
+Each run writes its measurements to the git-ignored
+``.benchmarks/BENCH_kernels.json``; the committed
+``benchmarks/BENCH_kernels.json`` is a snapshot of one such run, refreshed by
+hand when the kernels change.
 """
 
 from __future__ import annotations
@@ -27,15 +32,20 @@ from repro.evaluation import format_table
 from repro.execution import estimator_engine
 from repro.learners import default_registry
 from repro.learners._reference import (
+    ReferenceBagging,
     ReferenceDecisionTree,
     ReferenceIBk,
+    ReferenceJRip,
     ReferenceRandomForest,
 )
+from repro.learners.ensemble import Bagging
 from repro.learners.forest import RandomForest
 from repro.learners.lazy import IBk
+from repro.learners.rules import JRip
 from repro.learners.tree import DecisionTreeClassifier
 
-SNAPSHOT = Path(__file__).parent / "BENCH_kernels.json"
+#: Per-run output; ``benchmarks/BENCH_kernels.json`` is the committed snapshot.
+SNAPSHOT = Path(__file__).resolve().parents[1] / ".benchmarks" / "BENCH_kernels.json"
 
 #: Floors enforced on every run (ISSUE 10 acceptance): the kernels must be at
 #: least this much faster than the frozen loops on the same data.
@@ -62,6 +72,7 @@ def _time(fn, repeats: int = 3) -> float:
 def _update_snapshot(section: str, payload: dict) -> None:
     data = json.loads(SNAPSHOT.read_text()) if SNAPSHOT.exists() else {}
     data[section] = payload
+    SNAPSHOT.parent.mkdir(exist_ok=True)
     SNAPSHOT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
@@ -105,12 +116,41 @@ def test_bench_kernel_speedups():
     rows.append({"kernel": "kNN predict (6000 queries)", "reference s": ref_k,
                  "kernel s": live_k, "speedup": ref_k / live_k})
 
+    # -- rule fit: one array pass per feature block vs a percentile call per
+    #    (feature, quantile) and a mask per candidate condition (no floor) --
+    X, y = _blobs(4, 600, 12, 4)
+    Xq, _ = _blobs(6, 300, 12, 4)
+    live_rules = JRip()
+    ref_rules = ReferenceJRip()
+    live_r = _time(lambda: live_rules.fit(X, y))
+    ref_r = _time(lambda: ref_rules.fit(X, y), repeats=1)
+    assert [(r.conditions, r.label) for r in live_rules.rules_] == [
+        (r.conditions, r.label) for r in ref_rules.rules_
+    ]
+    assert np.array_equal(live_rules.predict_proba(Xq), ref_rules.predict_proba(Xq))
+    snapshot["rule_fit"] = {"kernel_s": live_r, "reference_s": ref_r}
+    recorded = [{"kernel": "JRip fit (600x12)", "reference s": ref_r,
+                 "kernel s": live_r, "speedup": ref_r / live_r}]
+
+    # -- Bagging fit: members on the ensemble's shared sort orders vs a
+    #    validated, re-sorted X[idx] per member (no floor) --
+    X, y = _blobs(5, 800, 10, 3)
+    Xq, _ = _blobs(7, 400, 10, 3)
+    live_bag = Bagging(n_estimators=10, random_state=0)
+    ref_bag = ReferenceBagging(n_estimators=10, random_state=0)
+    live_b = _time(lambda: live_bag.fit(X, y))
+    ref_b = _time(lambda: ref_bag.fit(X, y))
+    assert np.array_equal(live_bag.predict_proba(Xq), ref_bag.predict_proba(Xq))
+    snapshot["bagging_fit"] = {"kernel_s": live_b, "reference_s": ref_b}
+    recorded.append({"kernel": "Bagging fit (800x10, 10 trees)", "reference s": ref_b,
+                     "kernel s": live_b, "speedup": ref_b / live_b})
+
     for name, section in snapshot.items():
         section["speedup"] = section["reference_s"] / section["kernel_s"]
     _update_snapshot("speedups", snapshot)
 
     print()
-    print(format_table(rows, title="Learner kernels vs frozen pre-kernel loops"))
+    print(format_table(rows + recorded, title="Learner kernels vs frozen pre-kernel loops"))
 
     for row in rows:
         assert row["speedup"] >= MIN_SPEEDUP, (

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from .. import obs
 from .base import BaseOptimizer, Budget, HPOProblem, OptimizationResult, Trial
@@ -25,11 +25,17 @@ __all__ = ["BayesianOptimization", "expected_improvement"]
 def expected_improvement(
     mean: np.ndarray, std: np.ndarray, best: float, xi: float = 0.01
 ) -> np.ndarray:
-    """Expected improvement of candidates over the incumbent ``best`` (maximisation)."""
+    """Expected improvement of candidates over the incumbent ``best`` (maximisation).
+
+    The standard normal CDF and PDF are the expressions ``scipy.stats.norm``
+    evaluates (``ndtr`` and ``exp(-z²/2)/√(2π)``), written out so importing
+    the package never pulls in ``scipy.stats``.
+    """
     std = np.clip(std, 1e-12, None)
     improvement = mean - best - xi
     z = improvement / std
-    return improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+    pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+    return improvement * ndtr(z) + std * pdf
 
 
 class BayesianOptimization(BaseOptimizer):

@@ -3,8 +3,11 @@
 These classes preserve, verbatim, the pure-Python inner loops the live
 learners used before the vectorized kernel layer (:mod:`repro.learners.kernels`)
 replaced them: per-node ``np.argsort`` + a Python loop over every candidate
-threshold in the trees, row-by-row neighbour voting in the lazy family, and
-full-matrix pairwise distances.  They exist for exactly two consumers:
+threshold in the trees, row-by-row neighbour voting in the lazy family,
+full-matrix pairwise distances, tree ensembles that refit every member on a
+materialised ``X[idx]`` / ``X[:, features]``, and rule growth with one
+percentile call per feature and quantile.  They exist for exactly two
+consumers:
 
 * ``tests/learners/test_kernel_equivalence.py`` asserts the kernel-backed
   learners produce *identical* predictions (tie-breaking included), and
@@ -19,21 +22,36 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseClassifier
+from .. import obs
+from .base import BaseClassifier, clone
+from .ensemble import AdaBoostM1, Bagging, RandomSubSpace, _default_base
 from .forest import RandomForest
 from .lazy import IBk, KStar, LWL, _pairwise_sq_distances_exact
 from .regression import DecisionTreeRegressor, KNeighborsRegressor, _RegressionNode
-from .tree import DecisionTreeClassifier, _class_distribution, _entropy, _Node
+from .rules import JRip, PART, Ridor, _Rule, _SequentialCovering
+from .tree import DecisionStump, DecisionTreeClassifier, _entropy, _Node
 
 __all__ = [
     "ReferenceDecisionTree",
     "ReferenceRandomForest",
+    "ReferenceBagging",
+    "ReferenceRandomSubSpace",
+    "ReferenceAdaBoostM1",
+    "ReferenceJRip",
+    "ReferencePART",
+    "ReferenceRidor",
     "ReferenceIBk",
     "ReferenceKStar",
     "ReferenceLWL",
     "ReferenceDecisionTreeRegressor",
     "ReferenceKNeighborsRegressor",
 ]
+
+
+def _class_distribution(y: np.ndarray, n_classes: int) -> np.ndarray:
+    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
+    total = counts.sum()
+    return counts / total if total > 0 else np.full(n_classes, 1.0 / n_classes)
 
 
 class ReferenceDecisionTree(DecisionTreeClassifier):
@@ -88,13 +106,7 @@ class ReferenceDecisionTree(DecisionTreeClassifier):
     def _build(
         self, X: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator
     ) -> _Node:
-        distribution = _class_distribution(y, self._n_classes)
-        node = _Node(
-            prediction=distribution,
-            n_samples=len(y),
-            depth=depth,
-            impurity=self._impurity(np.bincount(y, minlength=self._n_classes)),
-        )
+        node = _Node(prediction=_class_distribution(y, self._n_classes))
         if (
             len(np.unique(y)) <= 1
             or len(y) < self.min_samples_split
@@ -181,6 +193,149 @@ class ReferenceRandomForest(RandomForest):
             tree = self._make_tree(seed)
             tree.fit(X[idx], y[idx])
             self.estimators_.append(tree)
+
+
+class ReferenceBagging(Bagging):
+    """The pre-shared-orders Bagging: every member refits on ``X[idx]``."""
+
+    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        if not 0.0 < self.max_samples <= 1.0:
+            raise ValueError("max_samples must be in (0, 1]")
+        rng = np.random.default_rng(self.random_state)
+        base = self.base_estimator if self.base_estimator is not None else _default_base()
+        n = X.shape[0]
+        sample_size = max(2, int(round(self.max_samples * n)))
+        self.estimators_: list[BaseClassifier] = []
+        for _ in range(int(self.n_estimators)):
+            idx = rng.integers(0, n, size=sample_size)
+            if len(np.unique(y[idx])) < 2 and len(np.unique(y)) >= 2:
+                for label in np.unique(y)[:2]:
+                    members = np.flatnonzero(y == label)
+                    idx[rng.integers(0, sample_size)] = members[rng.integers(0, len(members))]
+            model = clone(base)
+            model.fit(X[idx], y[idx])
+            self.estimators_.append(model)
+
+
+class ReferenceRandomSubSpace(RandomSubSpace):
+    """The pre-shared-orders RandomSubSpace: members refit on ``X[:, features]``."""
+
+    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        if not 0.0 < self.subspace_fraction <= 1.0:
+            raise ValueError("subspace_fraction must be in (0, 1]")
+        rng = np.random.default_rng(self.random_state)
+        base = self.base_estimator if self.base_estimator is not None else _default_base()
+        n_features = X.shape[1]
+        k = max(1, int(round(self.subspace_fraction * n_features)))
+        self.estimators_: list[BaseClassifier] = []
+        self.subspaces_: list[np.ndarray] = []
+        for _ in range(int(self.n_estimators)):
+            features = rng.choice(n_features, size=k, replace=False)
+            model = clone(base)
+            model.fit(X[:, features], y)
+            self.estimators_.append(model)
+            self.subspaces_.append(features)
+
+
+class ReferenceAdaBoostM1(AdaBoostM1):
+    """The pre-shared-orders AdaBoostM1: each round refits on ``X[idx]``."""
+
+    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        rng = np.random.default_rng(self.random_state)
+        base = self.base_estimator if self.base_estimator is not None else DecisionStump()
+        n = X.shape[0]
+        n_classes = len(self.classes_)
+        weights = np.full(n, 1.0 / n)
+        self.estimators_: list[BaseClassifier] = []
+        self.estimator_weights_: list[float] = []
+        for _ in range(int(self.n_estimators)):
+            idx = rng.choice(n, size=n, replace=True, p=weights)
+            model = clone(base)
+            try:
+                model.fit(X[idx], y[idx])
+            except Exception as exc:  # noqa: BLE001 — boosting stops at the failed round
+                obs.error_event("ensemble.boost_fit", exc)
+                break
+            predictions = np.zeros(n, dtype=np.int64)
+            raw = model.predict(X)
+            predictions[:] = raw
+            incorrect = predictions != y
+            error = float(np.dot(weights, incorrect))
+            if error >= 1.0 - 1.0 / n_classes:
+                break
+            error = max(error, 1e-10)
+            alpha = self.learning_rate * (
+                np.log((1.0 - error) / error) + np.log(n_classes - 1.0)
+            )
+            self.estimators_.append(model)
+            self.estimator_weights_.append(float(alpha))
+            weights = weights * np.exp(alpha * incorrect)
+            weights /= weights.sum()
+            if error <= 1e-10:
+                break
+        if not self.estimators_:
+            fallback = clone(base)
+            fallback.fit(X, y)
+            self.estimators_ = [fallback]
+            self.estimator_weights_ = [1.0]
+
+
+class _ReferenceCovering(_SequentialCovering):
+    """The pre-kernel rule growth: one percentile call per feature × quantile."""
+
+    def _grow_rule(self, X: np.ndarray, y: np.ndarray, target: int) -> _Rule | None:
+        conditions: list[tuple[int, str, float]] = []
+        mask = np.ones(X.shape[0], dtype=bool)
+        for _ in range(self.max_conditions):
+            best_gain = 0.0
+            best_condition: tuple[int, str, float] | None = None
+            current_precision = (
+                np.mean(y[mask] == target) if mask.any() else 0.0
+            )
+            for feature in range(X.shape[1]):
+                values = X[mask, feature]
+                if values.size == 0:
+                    continue
+                for quantile in (25, 50, 75):
+                    threshold = float(np.percentile(values, quantile))
+                    for op in ("<=", ">"):
+                        candidate_mask = mask & (
+                            X[:, feature] <= threshold
+                            if op == "<="
+                            else X[:, feature] > threshold
+                        )
+                        covered = candidate_mask.sum()
+                        if covered < self.min_coverage:
+                            continue
+                        precision = np.mean(y[candidate_mask] == target)
+                        gain = (precision - current_precision) * np.log1p(covered)
+                        if gain > best_gain:
+                            best_gain = gain
+                            best_condition = (feature, op, threshold)
+            if best_condition is None:
+                break
+            conditions.append(best_condition)
+            feature, op, threshold = best_condition
+            mask &= X[:, feature] <= threshold if op == "<=" else X[:, feature] > threshold
+            if mask.any() and np.mean(y[mask] == target) > 0.95:
+                break
+        if not conditions or not mask.any():
+            return None
+        return _Rule(conditions=conditions, label=target)
+
+
+class ReferenceJRip(_ReferenceCovering, JRip):
+    """JRip on the pre-kernel rule growth."""
+
+
+class ReferencePART(_ReferenceCovering, PART):
+    """PART on the pre-kernel rule growth."""
+
+
+class ReferenceRidor(_ReferenceCovering, Ridor):
+    """Ridor on the pre-kernel rule growth."""
 
 
 class ReferenceIBk(IBk):

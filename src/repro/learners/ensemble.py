@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
+from . import kernels
 from .base import BaseClassifier, clone
 from .tree import DecisionStump, DecisionTreeClassifier, J48, RandomTree
 
@@ -29,6 +30,33 @@ __all__ = [
 
 def _default_base() -> BaseClassifier:
     return DecisionTreeClassifier(criterion="entropy", max_depth=None, min_samples_leaf=2)
+
+
+def _shared_orders(base: BaseClassifier, X: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(X.T, sort orders)`` shared by every member when the base is a tree.
+
+    Tree members then fit through :meth:`DecisionTreeClassifier._fit_from_base`
+    on these, computed once per ensemble fit, instead of re-validating and
+    re-sorting a materialised sample per member.
+    """
+    if not isinstance(base, DecisionTreeClassifier):
+        return None
+    return np.ascontiguousarray(X.T), kernels.feature_orders(X)
+
+
+def _fit_sample(
+    model: BaseClassifier,
+    X: np.ndarray,
+    y: np.ndarray,
+    idx: np.ndarray,
+    shared: tuple[np.ndarray, np.ndarray] | None,
+) -> None:
+    """Fit ``model`` on rows ``idx`` — on the shared orders when it is a tree."""
+    if shared is None:
+        model.fit(X[idx], y[idx])
+    else:
+        XT, orders = shared
+        model._fit_from_base(XT, y, orders, np.bincount(idx, minlength=X.shape[0]))
 
 
 def _aligned_proba(model: BaseClassifier, X: np.ndarray, n_classes: int) -> np.ndarray:
@@ -63,6 +91,7 @@ class Bagging(BaseClassifier):
         base = self.base_estimator if self.base_estimator is not None else _default_base()
         n = X.shape[0]
         sample_size = max(2, int(round(self.max_samples * n)))
+        shared = _shared_orders(base, X)
         self.estimators_: list[BaseClassifier] = []
         for _ in range(int(self.n_estimators)):
             idx = rng.integers(0, n, size=sample_size)
@@ -72,7 +101,7 @@ class Bagging(BaseClassifier):
                     members = np.flatnonzero(y == label)
                     idx[rng.integers(0, sample_size)] = members[rng.integers(0, len(members))]
             model = clone(base)
-            model.fit(X[idx], y[idx])
+            _fit_sample(model, X, y, idx, shared)
             self.estimators_.append(model)
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -107,6 +136,7 @@ class AdaBoostM1(BaseClassifier):
         n = X.shape[0]
         n_classes = len(self.classes_)
         weights = np.full(n, 1.0 / n)
+        shared = _shared_orders(base, X)
         self.estimators_: list[BaseClassifier] = []
         self.estimator_weights_: list[float] = []
         for _ in range(int(self.n_estimators)):
@@ -115,7 +145,7 @@ class AdaBoostM1(BaseClassifier):
             idx = rng.choice(n, size=n, replace=True, p=weights)
             model = clone(base)
             try:
-                model.fit(X[idx], y[idx])
+                _fit_sample(model, X, y, idx, shared)
             except Exception as exc:  # noqa: BLE001 — boosting stops at the failed round
                 obs.error_event("ensemble.boost_fit", exc)
                 break
@@ -290,12 +320,16 @@ class RandomSubSpace(BaseClassifier):
         base = self.base_estimator if self.base_estimator is not None else _default_base()
         n_features = X.shape[1]
         k = max(1, int(round(self.subspace_fraction * n_features)))
+        shared = _shared_orders(base, X)
         self.estimators_: list[BaseClassifier] = []
         self.subspaces_: list[np.ndarray] = []
         for _ in range(int(self.n_estimators)):
             features = rng.choice(n_features, size=k, replace=False)
             model = clone(base)
-            model.fit(X[:, features], y)
+            if shared is None:
+                model.fit(X[:, features], y)
+            else:
+                model._fit_from_base(shared[0][features], y, shared[1][features])
             self.estimators_.append(model)
             self.subspaces_.append(features)
 

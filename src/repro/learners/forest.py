@@ -54,10 +54,12 @@ class RandomForest(BaseClassifier):
         # node.  Split scores only read cumulative label counts at value-run
         # boundaries, which are permutation invariant, so the fitted members
         # are identical to refitting on the materialised ``X[idx]``.
-        base_orders = kernels.feature_orders(X)
+        XT = np.ascontiguousarray(X.T)
+        orders = kernels.feature_orders(X)
         self.estimators_: list[DecisionTreeClassifier] = []
         for _ in range(int(self.n_estimators)):
             seed = int(rng.integers(0, 2**31 - 1))
+            counts = None
             if self.bootstrap:
                 idx = rng.integers(0, n, size=n)
                 # Guarantee every class appears in the bootstrap sample so the
@@ -66,13 +68,8 @@ class RandomForest(BaseClassifier):
                     if not np.any(y[idx] == label):
                         members = np.flatnonzero(y == label)
                         idx[rng.integers(0, n)] = members[rng.integers(0, len(members))]
-            else:
-                idx = np.arange(n)
-            tree = self._make_tree(seed)
-            tree._fit_from_base(
-                X, y, np.bincount(idx, minlength=n), base_orders, len(self.classes_)
-            )
-            self.estimators_.append(tree)
+                counts = np.bincount(idx, minlength=n)
+            self.estimators_.append(self._make_tree(seed)._fit_from_base(XT, y, orders, counts))
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros((X.shape[0], len(self.classes_)))

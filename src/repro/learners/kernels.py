@@ -3,20 +3,27 @@
 The paper's headline claim is about *trials per wall-clock second*: Auto-Model
 wins under a time budget because it spends its seconds tuning one good
 algorithm.  That makes the learners' inner loops the hottest code in the whole
-system — every CV fold of every trial of every optimizer runs them.  This
-module collects those loops as array kernels:
+system — every CV fold of every trial of every optimizer runs them, and the
+offline build scores every catalogue learner on every knowledge dataset.
+This module collects those loops as array kernels:
 
-* **Split search** (:func:`best_split_classification`,
-  :func:`best_split_regression`) — a LightGBM-style cumulative-count scan:
-  one-hot label counts are cumulatively summed along a feature's sort order so
-  the impurity of *every* candidate threshold is evaluated in one vectorized
-  pass instead of a Python loop over ``n_samples - 1`` positions.
-* **Sort-order reuse** (:func:`feature_orders`, :func:`filter_orders`,
-  :func:`expand_orders`) — per-feature stable sort orders are computed once
-  per fit (once per *forest*, shared by every member tree) and filtered down
-  recursively; no node ever calls ``argsort`` again.  Filtering a stable
-  full-dataset order by a membership mask yields exactly the stable argsort of
-  the subset, so splits are bit-identical to the per-node-sort implementation.
+* **Node-level split search** (:func:`best_split_classification`) — one call
+  per tree node scores every candidate feature's thresholds at once: one-hot
+  label counts are cumulatively summed along each feature's sort order into a
+  ``(side, feature, position, class)`` block, so the impurity of every
+  candidate split is one vectorized pass (feature blocks bounded by
+  :data:`DEFAULT_CHUNK_ELEMENTS`).  The trees' nodes hold ≤ a few hundred
+  rows, so the saving is numpy's per-call overhead, paid once per node
+  instead of once per (node, feature).  :func:`best_split_regression` keeps
+  the per-feature prefix-sum scan.
+* **Sort-order matrices** (:func:`feature_orders`, :func:`filter_orders`,
+  :func:`expand_orders`) — a fit's stable per-feature sort orders are one
+  ``(features, rows)`` int matrix, computed once per fit (once per *ensemble*,
+  shared by every member tree of RandomForest, Bagging, RandomSubSpace and
+  AdaBoostM1) and then filtered to a child or expanded by bootstrap counts in
+  single array operations; no node ever calls ``argsort`` again.  Filtering a
+  stable full-dataset order by a membership mask yields exactly the stable
+  argsort of the subset, so splits are bit-identical to per-node sorting.
 * **Flat tree inference** (:class:`FlatTree`, :func:`flat_predict_indices`) —
   fitted trees are flattened into feature/threshold/child arrays and a whole
   matrix is walked iteratively, level by level, replacing the per-row
@@ -27,9 +34,10 @@ module collects those loops as array kernels:
   distances so a large predict never materialises an ``O(n·m)`` float64
   intermediate at once, plus per-row class voting via one flattened
   ``bincount`` (accumulation order matches the historical per-row loop, so
-  scores are identical).
+  scores are identical).  :func:`query_chunks` also cuts the split search's
+  and the rule learners' candidate features into blocks.
 
-Every kernel is gated on score-identical results versus the frozen pre-kernel
+Every kernel is gated on score-identical results versus the frozen
 implementations in :mod:`repro.learners._reference` — see
 ``tests/learners/test_kernel_equivalence.py``.
 """
@@ -55,8 +63,9 @@ __all__ = [
     "DEFAULT_CHUNK_ELEMENTS",
 ]
 
-#: Upper bound on the number of float64 elements a chunked distance pass may
-#: materialise at once (~32 MB).  Tests shrink it to force multi-chunk paths.
+#: Upper bound on the number of elements a chunked pass (distances, split
+#: search, rule scoring) materialises per array (~32 MB of float64).  Tests
+#: shrink it to force multi-chunk paths.
 DEFAULT_CHUNK_ELEMENTS = 4_000_000
 
 
@@ -64,27 +73,29 @@ DEFAULT_CHUNK_ELEMENTS = 4_000_000
 # Sort-order management
 # ---------------------------------------------------------------------------
 
-def feature_orders(X: np.ndarray) -> list[np.ndarray]:
-    """Stable per-feature sort orders of ``X``, computed once per fit.
+def feature_orders(X: np.ndarray) -> np.ndarray:
+    """Stable per-feature sort orders of ``X`` as one ``(features, rows)`` matrix.
 
-    Returns one ``int64`` index array per column.  A list (rather than one
-    ``(F, n)`` matrix) lets the recursion shrink each feature independently.
+    Row ``j`` is ``np.argsort(X[:, j], kind="stable")``.  Computed once per fit
+    (once per ensemble, shared by every member) and then only filtered or
+    expanded, never re-sorted.
     """
-    return [np.argsort(X[:, j], kind="stable") for j in range(X.shape[1])]
+    return np.argsort(X.T, axis=1, kind="stable")
 
 
-def filter_orders(orders: list[np.ndarray], keep: np.ndarray) -> list[np.ndarray]:
+def filter_orders(orders: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Restrict every feature order to the rows where ``keep`` is True.
 
-    ``keep`` is indexed by the *base-row ids stored in the orders*.  Because
-    the parent orders are stable, the filtered arrays are exactly the stable
-    argsort of the surviving rows — equal feature values keep their original
-    relative order.
+    ``keep`` is indexed by the *base-row ids stored in the orders*.  Every row
+    of ``orders`` holds the same multiset of ids, so each keeps the same count
+    and one boolean gather reshapes back to a matrix.  Because the parent
+    orders are stable, the filtered rows are exactly the stable argsort of the
+    surviving rows — equal feature values keep their original relative order.
     """
-    return [order[keep[order]] for order in orders]
+    return orders[keep[orders]].reshape(orders.shape[0], -1)
 
 
-def expand_orders(orders: list[np.ndarray], counts: np.ndarray) -> list[np.ndarray]:
+def expand_orders(orders: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Expand base-row orders by bootstrap multiplicity ``counts``.
 
     Rows with ``counts[i] == 0`` drop out; rows drawn ``c`` times appear ``c``
@@ -95,10 +106,8 @@ def expand_orders(orders: list[np.ndarray], counts: np.ndarray) -> list[np.ndarr
     invariant — so the chosen splits, and therefore the fitted tree, are
     identical.
     """
-    return [
-        np.repeat(kept, counts[kept])
-        for kept in (order[counts[order] > 0] for order in orders)
-    ]
+    flat = orders.ravel()
+    return np.repeat(flat, counts[flat]).reshape(orders.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -106,76 +115,92 @@ def expand_orders(orders: list[np.ndarray], counts: np.ndarray) -> list[np.ndarr
 # ---------------------------------------------------------------------------
 
 def _impurity_matrix(counts: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity of each row of ``counts`` (one candidate split side per row).
+    """Impurity of every candidate split side, reduced over the class axis.
 
+    ``counts`` is ``(side, feature, position, class)`` with side 0 the left
+    and side 1 the right of each split; ``totals`` is ``(side, position)``.
     Replicates the scalar helpers of :mod:`repro.learners.tree` operation for
     operation — ``gini``: ``1 - Σ (c/t)²``; ``entropy``: ``-Σ p·log2(p)`` over
-    the positive entries (zeros contribute an exact ``0.0``).
+    the positive entries.  Empty classes take ``log2(1) = 0``, so their terms
+    are the exact ``0.0`` the scalar helper skips.
     """
-    p = counts / totals[:, None]
+    p = counts / totals[:, None, :, None]
     if criterion == "gini":
-        return 1.0 - np.sum(p * p, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(counts > 0, p * np.log2(p), 0.0)
-    return -np.sum(terms, axis=1)
+        return 1.0 - (p * p).sum(axis=-1)
+    return -(p * np.log2(np.where(counts > 0, p, 1.0))).sum(axis=-1)
 
 
 def best_split_classification(
-    values: np.ndarray,
-    labels: np.ndarray,
+    XT: np.ndarray,
+    y: np.ndarray,
+    orders: np.ndarray,
+    features: np.ndarray,
     parent_counts: np.ndarray,
     parent_impurity: float,
     criterion: str,
     min_samples_leaf: int,
     min_impurity_decrease: float,
-) -> tuple[float, float, float] | None:
-    """Best threshold on one feature via a cumulative-bincount scan.
+) -> tuple[int, float, float] | None:
+    """Best ``(feature, threshold, decrease)`` over a node's candidate features.
 
-    ``values``/``labels`` are the node's samples in (stable) feature-sorted
-    order.  Returns ``(score, threshold, decrease)`` for the first-best valid
-    position, or ``None`` — matching the historical Python loop's strict
-    ``score > best`` update rule, which keeps the earliest position among
-    equal scores.
+    ``XT`` is the training matrix transposed (features × base rows), ``y`` the
+    base-row labels and ``orders`` the node's ``(features, n)`` sorted member
+    ids.  Every candidate feature's thresholds are scored in one cumulative
+    one-hot count pass over a ``(2, features, n - 1, classes)`` block of
+    left/right counts; blocks are sized by :data:`DEFAULT_CHUNK_ELEMENTS`.
+    The winner is the first maximum in (candidate order, position) order —
+    the historical per-feature loop's strict ``score > best`` rule, which
+    keeps the earliest feature and the earliest position among equal scores.
+    Returns ``None`` when no position is a valid split.
     """
-    n = values.shape[0]
-    n_classes = parent_counts.shape[0]
+    n = orders.shape[1]
     if n < 2:
         return None
-    # Cumulative one-hot label counts: left side of split position i holds
-    # samples 0..i, exactly the loop's running ``left_counts``.
-    one_hot = np.zeros((n, n_classes), dtype=np.float64)
-    one_hot[np.arange(n), labels] = 1.0
-    cum = np.cumsum(one_hot, axis=0)
-    left = cum[:-1]
-    right = parent_counts.astype(np.float64)[None, :] - left
-
-    n_left = np.arange(1, n, dtype=np.float64)
-    n_right = n - n_left
-    valid = values[:-1] != values[1:]
+    n_classes = parent_counts.shape[0]
+    sizes = np.empty((2, n - 1))  # samples left / right of each position
+    sizes[0] = np.arange(1, n)
+    np.subtract(n, sizes[0], out=sizes[1])
+    n_left, n_right = sizes
+    allowed = None
     if min_samples_leaf > 1:
-        valid &= (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-    if not valid.any():
-        return None
-
-    weighted = (
-        n_left * _impurity_matrix(left, n_left, criterion)
-        + n_right * _impurity_matrix(right, n_right, criterion)
-    ) / n
-    decrease = parent_impurity - weighted
+        allowed = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+        if not allowed.any():
+            return None
     if criterion == "gain_ratio":
         p_left = n_left / n
         p_right = n_right / n
         split_info = -(p_left * np.log2(p_left) + p_right * np.log2(p_right))
-        score = np.where(split_info > 0, decrease / split_info, 0.0)
-    else:
-        score = decrease
-    valid &= decrease > min_impurity_decrease
-    if not valid.any():
-        return None
-    masked = np.where(valid, score, -np.inf)
-    i = int(np.argmax(masked))  # first maximum — the loop's tie-breaking rule
-    threshold = float((values[i] + values[i + 1]) / 2.0)
-    return float(masked[i]), threshold, float(decrease[i])
+    classes = np.arange(n_classes)
+    best: tuple[int, float, float] | None = None
+    best_score = -np.inf
+    for block in query_chunks(len(features), 2 * n * n_classes):
+        feats = features[block]
+        rows = orders[feats]
+        values = XT[feats[:, None], rows]
+        valid = values[:, :-1] != values[:, 1:]
+        if allowed is not None:
+            valid &= allowed
+        if not valid.any():
+            continue
+        # Cumulative one-hot label counts: the left side of position i holds
+        # sorted samples 0..i, exactly the historical loop's ``left_counts``.
+        counts = np.empty((2, len(feats), n - 1, n_classes))
+        np.cumsum(y[rows[:, :-1], None] == classes, axis=1, dtype=np.float64, out=counts[0])
+        np.subtract(parent_counts, counts[0], out=counts[1])
+        impurity = _impurity_matrix(counts, sizes, criterion)
+        decrease = parent_impurity - (n_left * impurity[0] + n_right * impurity[1]) / n
+        if criterion == "gain_ratio":
+            score = np.where(split_info > 0, decrease / split_info, 0.0)
+        else:
+            score = decrease
+        valid &= decrease > min_impurity_decrease
+        masked = np.where(valid, score, -np.inf)
+        f, i = divmod(int(masked.argmax()), n - 1)  # first maximum, row-major
+        if masked[f, i] > best_score:  # strict: earlier blocks win ties
+            best_score = masked[f, i]
+            threshold = float((values[f, i] + values[f, i + 1]) / 2.0)
+            best = (int(feats[f]), threshold, float(decrease[f, i]))
+    return best
 
 
 def best_split_regression(
@@ -319,12 +344,13 @@ def pairwise_sq_distances(A: np.ndarray, B: np.ndarray, b2: np.ndarray | None = 
 
 
 def query_chunks(n_rows: int, n_cols: int, max_elements: int | None = None):
-    """Yield ``slice`` objects over query rows bounding ``rows × n_cols``.
+    """Yield ``slice`` objects over rows bounding ``rows × n_cols`` elements.
 
-    With the default budget a 50k-row predict against a 50k-row training set
-    walks ~80 chunks of ~80 rows instead of materialising a 20 GB matrix.
-    Inputs that fit the budget yield one full slice, keeping small predicts
-    on the exact single-shot path.
+    The rows are query rows for the distance kernels and candidate features
+    for the split search and rule scoring.  With the default budget a 50k-row
+    predict against a 50k-row training set walks ~80 chunks of ~80 rows
+    instead of materialising a 20 GB matrix.  Inputs that fit the budget
+    yield one full slice, keeping small passes on the exact single-shot path.
     """
     budget = DEFAULT_CHUNK_ELEMENTS if max_elements is None else int(max_elements)
     rows = max(1, budget // max(1, n_cols))

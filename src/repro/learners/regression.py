@@ -347,7 +347,7 @@ class DecisionTreeRegressor(BaseRegressor):
         X: np.ndarray,
         y: np.ndarray,
         idx: np.ndarray,
-        orders: list[np.ndarray],
+        orders: np.ndarray,
         rng: np.random.Generator,
     ) -> tuple[int, float] | None:
         n_features = X.shape[1]
@@ -381,7 +381,7 @@ class DecisionTreeRegressor(BaseRegressor):
         X: np.ndarray,
         y: np.ndarray,
         idx: np.ndarray,
-        orders: list[np.ndarray],
+        orders: np.ndarray,
         depth: int,
         rng: np.random.Generator,
     ) -> _RegressionNode:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .base import BaseClassifier
 
 __all__ = ["ZeroR", "OneR", "JRip", "PART", "Ridor"]
@@ -94,35 +95,48 @@ class _SequentialCovering(BaseClassifier):
         super().__init__()
         self.random_state = random_state
 
+    def _best_condition(
+        self, Xm: np.ndarray, hit: np.ndarray, current_precision: float
+    ) -> tuple[int, str, float] | None:
+        """Best-gain condition over the rows ``Xm`` still covered by the rule.
+
+        Candidates are every feature's 25/50/75th percentile under ``<=`` and
+        ``>``, scored in one array pass per feature block (blocks bounded by
+        :data:`kernels.DEFAULT_CHUNK_ELEMENTS`).  The arithmetic is the
+        historical per-candidate loop's, element for element, and the first
+        maximum in (feature, quantile, op) order wins — its strict
+        ``gain > best`` rule.
+        """
+        n_rows, n_features = Xm.shape
+        thresholds = np.percentile(Xm, (25, 50, 75), axis=0).T
+        best_gain = 0.0
+        best: tuple[int, str, float] | None = None
+        for block in kernels.query_chunks(n_features, n_rows * 3):
+            below = Xm[:, block, None] <= thresholds[block]
+            covered_le = below.sum(axis=0)
+            hits_le = below[hit].sum(axis=0)
+            # (feature, quantile, op) with op 0 = "<=", 1 = ">".
+            covered = np.stack((covered_le, n_rows - covered_le), axis=-1)
+            hits = np.stack((hits_le, hit.sum() - hits_le), axis=-1)
+            precision = hits / np.maximum(covered, 1)  # covered == 0 is masked below
+            gain = (precision - current_precision) * np.log1p(covered)
+            gain = np.where(covered >= self.min_coverage, gain, -np.inf).ravel()
+            j = int(np.argmax(gain))
+            if gain[j] > best_gain:
+                best_gain = gain[j]
+                f, q, op = np.unravel_index(j, covered.shape)
+                feature = block.start + int(f)
+                best = (feature, ("<=", ">")[op], float(thresholds[feature, q]))
+        return best
+
     def _grow_rule(self, X: np.ndarray, y: np.ndarray, target: int) -> _Rule | None:
         conditions: list[tuple[int, str, float]] = []
         mask = np.ones(X.shape[0], dtype=bool)
+        hit = y == target
         for _ in range(self.max_conditions):
-            best_gain = 0.0
-            best_condition: tuple[int, str, float] | None = None
-            current_precision = (
-                np.mean(y[mask] == target) if mask.any() else 0.0
-            )
-            for feature in range(X.shape[1]):
-                values = X[mask, feature]
-                if values.size == 0:
-                    continue
-                for quantile in (25, 50, 75):
-                    threshold = float(np.percentile(values, quantile))
-                    for op in ("<=", ">"):
-                        candidate_mask = mask & (
-                            X[:, feature] <= threshold
-                            if op == "<="
-                            else X[:, feature] > threshold
-                        )
-                        covered = candidate_mask.sum()
-                        if covered < self.min_coverage:
-                            continue
-                        precision = np.mean(y[candidate_mask] == target)
-                        gain = (precision - current_precision) * np.log1p(covered)
-                        if gain > best_gain:
-                            best_gain = gain
-                            best_condition = (feature, op, threshold)
+            if not mask.any():
+                break
+            best_condition = self._best_condition(X[mask], hit[mask], np.mean(hit[mask]))
             if best_condition is None:
                 break
             conditions.append(best_condition)

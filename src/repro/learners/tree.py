@@ -9,18 +9,20 @@ subsets per split), ``BFTree`` (best-first expansion approximated by a node
 budget) and ``DecisionStump`` (depth 1).
 
 The fitting and prediction inner loops run on the vectorized kernels of
-:mod:`repro.learners.kernels`: per-feature stable sort orders are computed
-once per fit (and shared across a whole forest) instead of re-sorting at
-every node, every candidate threshold of a feature is scored in one
-cumulative-bincount pass, and prediction walks the flattened tree arrays for
-a whole matrix at a time.  Results are identical to the historical pure-Python
-implementation (frozen in :mod:`repro.learners._reference` and pinned by
+:mod:`repro.learners.kernels`: the stable per-feature sort orders are one
+matrix computed once per fit (and shared by every member of a tree
+ensemble) instead of re-sorting at every node, each node scores every
+candidate feature's thresholds in one cumulative-count pass, and prediction
+walks the flattened tree arrays for a whole matrix at a time.  A direct fit
+and an ensemble member fit share one growth path (:meth:`_grow`).  Results
+are identical to the historical pure-Python implementation (frozen in
+:mod:`repro.learners._reference` and pinned by
 ``tests/learners/test_kernel_equivalence.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,20 +49,10 @@ class _Node:
     threshold: float | None = None
     left: "_Node | None" = None
     right: "_Node | None" = None
-    n_samples: int = 0
-    depth: int = 0
-    impurity: float = 0.0
-    children: list = field(default_factory=list)
 
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
-
-
-def _class_distribution(y: np.ndarray, n_classes: int) -> np.ndarray:
-    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    total = counts.sum()
-    return counts / total if total > 0 else np.full(n_classes, 1.0 / n_classes)
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -68,7 +60,7 @@ def _entropy(counts: np.ndarray) -> float:
     if total == 0:
         return 0.0
     p = counts[counts > 0] / total
-    return float(-np.sum(p * np.log2(p)))
+    return float(-(p * np.log2(p)).sum())
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -76,7 +68,7 @@ def _gini(counts: np.ndarray) -> float:
     if total == 0:
         return 0.0
     p = counts / total
-    return float(1.0 - np.sum(p * p))
+    return float(1.0 - (p * p).sum())
 
 
 class DecisionTreeClassifier(BaseClassifier):
@@ -137,128 +129,115 @@ class DecisionTreeClassifier(BaseClassifier):
 
     def _best_split(
         self,
-        X: np.ndarray,
+        XT: np.ndarray,
         y: np.ndarray,
-        orders: list[np.ndarray],
+        orders: np.ndarray,
+        counts: np.ndarray,
+        impurity: float,
         rng: np.random.Generator,
     ) -> tuple[int, float, float] | None:
         """Return ``(feature, threshold, impurity_decrease)`` or ``None``.
 
-        ``orders`` holds the node's sample ids (into ``X``/``y``) in stable
-        sorted order, one array per feature, so the kernel scores every
-        candidate threshold of a feature in one cumulative-bincount pass and
-        no ``argsort`` happens here.  Feature candidates are drawn with the
-        same RNG calls as the historical per-node loop; ties keep the
-        earliest feature and earliest position, as before.
+        ``orders`` holds the node's sample ids in stable sorted order, one row
+        per feature, and ``counts``/``impurity`` are the node's own, computed
+        once by :meth:`_build`.  The kernel scores every candidate feature's
+        thresholds in one pass; no ``argsort`` happens here.  Feature
+        candidates are drawn with the same RNG calls as the historical
+        per-node loop; ties keep the earliest feature and earliest position.
         """
-        n_features = X.shape[1]
-        parent_counts = np.bincount(y[orders[0]], minlength=self._n_classes)
-        parent_impurity = self._impurity(parent_counts)
+        n_features = XT.shape[0]
         k = self._n_candidate_features(n_features)
         candidates = (
             np.arange(n_features)
             if k >= n_features
             else rng.choice(n_features, size=k, replace=False)
         )
-        best: tuple[int, float, float] | None = None
-        best_score = -np.inf
-        for feature in candidates:
-            order = orders[feature]
-            result = kernels.best_split_classification(
-                X[order, feature],
-                y[order],
-                parent_counts,
-                parent_impurity,
-                self.criterion,
-                int(self.min_samples_leaf),
-                self.min_impurity_decrease,
-            )
-            if result is None:
-                continue
-            score, threshold, decrease = result
-            if score > best_score:
-                best_score = score
-                best = (int(feature), threshold, decrease)
-        return best
+        return kernels.best_split_classification(
+            XT,
+            y,
+            orders,
+            candidates,
+            counts,
+            impurity,
+            self.criterion,
+            int(self.min_samples_leaf),
+            self.min_impurity_decrease,
+        )
 
     def _build(
         self,
-        X: np.ndarray,
+        XT: np.ndarray,
         y: np.ndarray,
-        orders: list[np.ndarray],
+        orders: np.ndarray,
         depth: int,
         rng: np.random.Generator,
     ) -> _Node:
-        node_y = y[orders[0]]
-        counts = np.bincount(node_y, minlength=self._n_classes)
-        node = _Node(
-            prediction=_class_distribution(node_y, self._n_classes),
-            n_samples=len(node_y),
-            depth=depth,
-            impurity=self._impurity(counts),
-        )
+        counts = np.bincount(y[orders[0]], minlength=self._n_classes)
+        distribution = counts.astype(np.float64)
+        node = _Node(prediction=distribution / distribution.sum())
         if (
             np.count_nonzero(counts) <= 1
-            or len(node_y) < self.min_samples_split
+            or orders.shape[1] < self.min_samples_split
             or (self.max_depth is not None and depth >= self.max_depth)
             or (self.max_nodes is not None and self._n_internal >= self.max_nodes)
         ):
             return node
-        split = self._best_split(X, y, orders, rng)
+        split = self._best_split(XT, y, orders, counts, self._impurity(counts), rng)
         if split is None:
             return node
         feature, threshold, _ = split
         # Base-level membership mask of the left child; node orders only hold
         # node members, so filtering by it partitions exactly this node.
-        mask = X[:, feature] <= threshold
+        mask = XT[feature] <= threshold
         node_mask = mask[orders[0]]
         if node_mask.all() or not node_mask.any():
             return node
         self._n_internal += 1
         node.feature = feature
         node.threshold = threshold
-        node.left = self._build(X, y, kernels.filter_orders(orders, mask), depth + 1, rng)
-        node.right = self._build(X, y, kernels.filter_orders(orders, ~mask), depth + 1, rng)
+        node.left = self._build(XT, y, kernels.filter_orders(orders, mask), depth + 1, rng)
+        node.right = self._build(XT, y, kernels.filter_orders(orders, ~mask), depth + 1, rng)
         return node
 
-    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+    def _grow(self, XT: np.ndarray, y: np.ndarray, orders: np.ndarray) -> None:
+        """The one growth path: ``_fit`` and ensemble members both end here."""
         self._n_classes = int(len(self.classes_))
         self._n_internal = 0
         rng = np.random.default_rng(self.random_state)
+        self.tree_ = self._build(XT, y, orders, depth=0, rng=rng)
+        self._flat = kernels.flatten_tree(self.tree_, self._n_classes)
+
+    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         # Per-feature stable sort orders, computed once per fit and filtered
         # down the recursion — no node ever sorts again.
-        orders = kernels.feature_orders(X)
-        self.tree_ = self._build(X, y, orders, depth=0, rng=rng)
-        self._flat = kernels.flatten_tree(self.tree_, self._n_classes)
+        self._grow(np.ascontiguousarray(X.T), y, kernels.feature_orders(X))
 
     def _fit_from_base(
         self,
-        X: np.ndarray,
+        XT: np.ndarray,
         y: np.ndarray,
-        counts: np.ndarray,
-        base_orders: list[np.ndarray],
-        n_classes: int,
+        orders: np.ndarray,
+        counts: np.ndarray | None = None,
     ) -> "DecisionTreeClassifier":
-        """Forest fast path: fit on a bootstrap multiset of pre-validated rows.
+        """Ensemble member fast path: fit on a multiset of pre-validated rows.
 
-        ``X``/``y`` are the forest's already-encoded training arrays;
-        ``counts[i]`` is how many times base row ``i`` appears in this
-        member's sample, and ``base_orders`` are the forest-wide sort orders
-        computed once per ensemble fit.  The forest guarantees every class
-        appears in the sample, so the member's label encoding is the
-        identity — exactly what refitting on ``X[idx]`` used to produce.
+        ``XT`` is the ensemble's encoded training matrix transposed (features
+        × rows), ``y`` its encoded labels and ``orders`` the sort orders of
+        ``XT``'s rows, computed once per ensemble fit.  ``counts[i]`` is how
+        many times base row ``i`` appears in this member's sample (``None``:
+        every row once).  The member's ``classes_`` are the labels its sample
+        holds, re-encoded to ``0..k-1`` — exactly what refitting on the
+        materialised ``X[idx]``/``y[idx]`` produced, missing classes included.
         """
-        self.classes_ = np.arange(n_classes, dtype=np.int64)
-        self.n_features_in_ = X.shape[1]
-        self._n_classes = int(n_classes)
-        self._n_internal = 0
-        rng = np.random.default_rng(self.random_state)
-        if counts.min() == 1 and counts.max() == 1:
-            orders = list(base_orders)
-        else:
-            orders = kernels.expand_orders(base_orders, counts)
-        self.tree_ = self._build(X, y, orders, depth=0, rng=rng)
-        self._flat = kernels.flatten_tree(self.tree_, self._n_classes)
+        if counts is not None:
+            orders = kernels.expand_orders(orders, counts)
+        self.classes_ = np.unique(y[orders[0]])
+        self.n_features_in_ = XT.shape[0]
+        if self.classes_[-1] + 1 != len(self.classes_):
+            # Only sampled rows are ever read, so unsampled labels may map
+            # anywhere.
+            y = np.searchsorted(self.classes_, y)
+        self._grow(XT, y, orders)
         return self
 
     # -- prediction ----------------------------------------------------------------

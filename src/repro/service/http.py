@@ -459,6 +459,10 @@ class ServiceServer(ThreadingHTTPServer):
 class _ServiceHandler(BaseHTTPRequestHandler):
     server: ServiceServer
     protocol_version = "HTTP/1.1"
+    # A response leaves in two writes (headers, then body); with Nagle on, a
+    # busy keep-alive connection holds the second one for the client's
+    # delayed ACK (~40 ms per request).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002 — stdlib signature
@@ -469,6 +473,13 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self, status: int, payload: dict, retry_after: float | None = None
     ) -> None:
         body = json.dumps(payload).encode("utf-8")
+        # Counted before any byte leaves: with TCP_NODELAY the client can
+        # hold the whole response before this thread runs again, and a
+        # response it holds must already show in /metrics.
+        elapsed = time.monotonic() - getattr(self, "_started", time.monotonic())
+        self.server.service.metrics.observe(
+            self.command, route_label(self.path), status, elapsed
+        )
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -476,10 +487,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", f"{max(retry_after, 0.0):.3f}")
         self.end_headers()
         self.wfile.write(body)
-        elapsed = time.monotonic() - getattr(self, "_started", time.monotonic())
-        self.server.service.metrics.observe(
-            self.command, route_label(self.path), status, elapsed
-        )
 
     def _read_body(self) -> Any:
         length = int(self.headers.get("Content-Length", 0) or 0)

@@ -190,6 +190,9 @@ class StoreServer(ThreadingHTTPServer):
 class _StoreHandler(BaseHTTPRequestHandler):
     server: StoreServer
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; without TCP_NODELAY a keep-alive
+    # client's delayed ACK stalls the second one.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 — stdlib signature
         if not self.server.quiet:  # pragma: no cover - debug aid
@@ -199,6 +202,13 @@ class _StoreHandler(BaseHTTPRequestHandler):
         self, status: int, payload: dict, retry_after: float | None = None
     ) -> None:
         body = json.dumps(payload).encode("utf-8")
+        # Counted before any byte leaves: with TCP_NODELAY the client can
+        # hold the whole response before this thread runs again, and a
+        # response it holds must already show in /metrics.
+        elapsed = time.monotonic() - getattr(self, "_started", time.monotonic())
+        self.server.service.metrics.observe(
+            self.command, store_route_label(self.path), status, elapsed
+        )
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -206,10 +216,6 @@ class _StoreHandler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", f"{max(retry_after, 0.0):.3f}")
         self.end_headers()
         self.wfile.write(body)
-        elapsed = time.monotonic() - getattr(self, "_started", time.monotonic())
-        self.server.service.metrics.observe(
-            self.command, store_route_label(self.path), status, elapsed
-        )
 
     def _read_body(self) -> Any:
         length = int(self.headers.get("Content-Length", 0) or 0)

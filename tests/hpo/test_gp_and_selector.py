@@ -75,6 +75,42 @@ class TestExpectedImprovement:
         ei = expected_improvement(rng.normal(size=50), np.abs(rng.normal(size=50)), best=0.5)
         assert np.all(ei >= 0.0)
 
+    def test_matches_scipy_stats_norm_bit_for_bit(self):
+        # The written-out CDF/PDF must equal the stats.norm formula exactly,
+        # signed zeros and infinities included (-inf * 0 is NaN in both).
+        from scipy import stats
+
+        z = np.concatenate([np.linspace(-40.0, 40.0, 80_001), [0.0, -0.0, np.inf, -np.inf]])
+        mean, std, best, xi = z, np.ones_like(z), 0.0, 0.0
+        with np.errstate(invalid="ignore"):
+            expected = (mean - best - xi) * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+            actual = expected_improvement(mean, std, best, xi=xi)
+        assert np.array_equal(actual, expected, equal_nan=True)
+
+        rng = np.random.default_rng(1)
+        mean, std = rng.normal(size=5000), np.abs(rng.normal(size=5000))
+        std[::7] = 0.0  # clipped to 1e-12: huge |z|
+        clipped = np.clip(std, 1e-12, None)
+        improvement = mean - 0.3 - 0.01
+        z = improvement / clipped
+        expected = improvement * stats.norm.cdf(z) + clipped * stats.norm.pdf(z)
+        assert np.array_equal(expected_improvement(mean, std, 0.3), expected)
+
+    def test_import_repro_leaves_scipy_stats_out(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        code = "import sys, repro; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestSelector:
     def _space(self) -> ConfigSpace:

@@ -6,6 +6,10 @@ pure-Python implementations frozen in :mod:`repro.learners._reference`.
 Equality here is ``np.array_equal`` (bit-identical probabilities, tie-breaking
 included) except for LWL, whose vote accumulation order changed (bincount vs
 per-class masked sums) and is pinned to allclose + identical label decisions.
+The tree ensembles (members fitted on shared sort orders instead of a
+materialised ``X[idx]`` / ``X[:, features]``) and the rule learners (every
+candidate condition scored in one array pass) are pinned the same way, down to
+the member trees, their ``classes_`` and the rule lists.
 
 Datasets cover the split-search edge cases: dense continuous features, heavy
 value ties (every threshold lands on a run boundary), and a NaN-corrupted
@@ -17,17 +21,25 @@ import pytest
 
 from repro.learners import kernels
 from repro.learners._reference import (
+    ReferenceAdaBoostM1,
+    ReferenceBagging,
     ReferenceDecisionTree,
     ReferenceIBk,
+    ReferenceJRip,
     ReferenceKNeighborsRegressor,
     ReferenceKStar,
     ReferenceLWL,
+    ReferencePART,
     ReferenceDecisionTreeRegressor,
     ReferenceRandomForest,
+    ReferenceRandomSubSpace,
+    ReferenceRidor,
 )
+from repro.learners.ensemble import AdaBoostM1, Bagging, RandomSubSpace
 from repro.learners.forest import ExtraTrees, RandomForest
 from repro.learners.lazy import IB1, IBk, KStar, LWL
 from repro.learners.regression import DecisionTreeRegressor, KNeighborsRegressor
+from repro.learners.rules import JRip, PART, Ridor
 from repro.learners.tree import (
     BFTree,
     DecisionStump,
@@ -161,6 +173,136 @@ def test_extra_trees_bit_identical():
     _assert_identical(live, ref, Xq)
 
 
+ENSEMBLE_CASES = [
+    (Bagging, ReferenceBagging, dict(n_estimators=6)),
+    (Bagging, ReferenceBagging, dict(n_estimators=5, max_samples=0.4, base_estimator=J48())),
+    (RandomSubSpace, ReferenceRandomSubSpace, dict(n_estimators=6)),
+    (
+        RandomSubSpace,
+        ReferenceRandomSubSpace,
+        dict(n_estimators=5, subspace_fraction=0.7, base_estimator=RandomTree(random_state=3)),
+    ),
+    (AdaBoostM1, ReferenceAdaBoostM1, dict(n_estimators=12)),
+    (AdaBoostM1, ReferenceAdaBoostM1, dict(n_estimators=6, base_estimator=J48(max_depth=3))),
+]
+
+
+def _assert_same_members(live, ref):
+    assert len(live.estimators_) == len(ref.estimators_)
+    for a, b in zip(live.estimators_, ref.estimators_):
+        assert np.array_equal(a.classes_, b.classes_)
+        assert a.classes_.dtype == b.classes_.dtype
+        assert a.export_params() == b.export_params()
+
+
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+@pytest.mark.parametrize(
+    "case", ENSEMBLE_CASES, ids=lambda c: f"{c[0].__name__}-{sorted(c[2])}"
+)
+def test_tree_ensembles_bit_identical(dataset, case):
+    # Members fitted on the ensemble's shared sort orders must be the trees
+    # that refitting on the materialised sample built, member by member.
+    live_cls, ref_cls, kwargs = case
+    X, y, Xq = _split(DATASETS[dataset])
+    live = live_cls(random_state=5, **kwargs).fit(X, y)
+    ref = ref_cls(random_state=5, **kwargs).fit(X, y)
+    _assert_identical(live, ref, Xq)
+    _assert_same_members(live, ref)
+
+
+def _rare_class(seed=4, n=150, d=5):
+    # Class 1 has three members, so small bootstraps and boosted resamples
+    # miss it: such a member sees labels {0, 2} and must re-encode them.
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = 2 * (X[:, 0] > 0).astype(int)
+    y[rng.choice(n, 3, replace=False)] = 1
+    return X, y
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        lambda: (
+            Bagging(n_estimators=8, max_samples=0.3, random_state=0),
+            ReferenceBagging(n_estimators=8, max_samples=0.3, random_state=0),
+        ),
+        lambda: (
+            AdaBoostM1(n_estimators=10, base_estimator=J48(max_depth=2), random_state=1),
+            ReferenceAdaBoostM1(n_estimators=10, base_estimator=J48(max_depth=2), random_state=1),
+        ),
+    ],
+    ids=["bootstrap", "weighted-resample"],
+)
+def test_member_missing_a_class_keeps_np_unique_classes(pair):
+    X, y = _rare_class()
+    Xq, _ = _rare_class(seed=99)
+    live, ref = pair()
+    live.fit(X, y)
+    ref.fit(X, y)
+    assert any(
+        not np.array_equal(m.classes_, np.arange(3)) for m in live.estimators_
+    ), "no member missed a class; the case does not exercise the path"
+    _assert_same_members(live, ref)
+    _assert_identical(live, ref, Xq)
+
+
+RULE_CASES = [(JRip, ReferenceJRip), (PART, ReferencePART), (Ridor, ReferenceRidor)]
+
+
+def _rules(model):
+    return [(rule.conditions, rule.label) for rule in model.rules_]
+
+
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+@pytest.mark.parametrize("case", RULE_CASES, ids=lambda c: c[0].__name__)
+def test_rule_learners_bit_identical(dataset, case):
+    # Same rules (feature, op, threshold), same order, same probabilities as
+    # the one-percentile-call-per-candidate growth loop.
+    live_cls, ref_cls = case
+    X, y, Xq = _split(DATASETS[dataset])
+    live = live_cls().fit(X, y)
+    ref = ref_cls().fit(X, y)
+    assert _rules(live), "no rule grown; the case does not exercise rule growth"
+    assert _rules(live) == _rules(ref)
+    _assert_identical(live, ref, Xq)
+
+
+def test_feature_blocks_leave_fits_unchanged(monkeypatch):
+    # A small element budget splits the node-level split search and the rule
+    # scoring into several feature blocks; the first-maximum rule must carry
+    # across blocks, so every fitted model stays the same.  Duplicated
+    # columns make exact cross-block ties certain: the earlier copy must win.
+    X, y, Xq = _split(_ties)
+    X, Xq = np.hstack([X, X[:, :3]]), np.hstack([Xq, Xq[:, :3]])
+
+    def fit_all():
+        return [
+            J48(random_state=0).fit(X, y),
+            SimpleCart(random_state=0).fit(X, y),
+            RandomTree(random_state=1).fit(X, y),
+            RandomForest(n_estimators=4, random_state=2).fit(X, y),
+            Bagging(n_estimators=3, random_state=3).fit(X, y),
+            JRip().fit(X, y),
+            PART().fit(X, y),
+        ]
+
+    single = fit_all()
+    monkeypatch.setattr(kernels, "DEFAULT_CHUNK_ELEMENTS", 2 * X.shape[0])
+    n_classes = len(np.unique(y))
+    assert len(list(kernels.query_chunks(X.shape[1], 2 * X.shape[0] * n_classes))) == X.shape[1]
+    assert len(list(kernels.query_chunks(X.shape[1], X.shape[0] * 3))) == X.shape[1]
+    blocked = fit_all()
+    for a, b in zip(single, blocked):
+        assert np.array_equal(a.predict_proba(Xq), b.predict_proba(Xq))
+    for a, b in zip(single[:3], blocked[:3]):
+        assert a.export_params() == b.export_params()
+    for a, b in zip(single[3:5], blocked[3:5]):
+        _assert_same_members(a, b)
+    for a, b in zip(single[5:], blocked[5:]):
+        assert _rules(a) == _rules(b)
+
+
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 @pytest.mark.parametrize(
     "kwargs",
@@ -276,11 +418,25 @@ def test_filter_orders_is_stable_subset_argsort():
     orders = kernels.feature_orders(X)
     keep = rng.random(60) < 0.5
     filtered = kernels.filter_orders(orders, keep)
+    assert filtered.shape == (X.shape[1], keep.sum())
     sub = X[keep]
     base_ids = np.flatnonzero(keep)
     for j in range(X.shape[1]):
         expected = base_ids[np.argsort(sub[:, j], kind="stable")]
         assert np.array_equal(filtered[j], expected)
+
+
+def test_expand_orders_repeats_rows_in_place():
+    rng = np.random.default_rng(1)
+    X = np.round(rng.normal(size=(40, 3)), 1)
+    orders = kernels.feature_orders(X)
+    counts = rng.integers(0, 3, size=40)
+    expanded = kernels.expand_orders(orders, counts)
+    assert expanded.shape == (X.shape[1], counts.sum())
+    for j in range(X.shape[1]):
+        assert np.array_equal(expanded[j], np.repeat(orders[j], counts[orders[j]]))
+        # Still sorted by value: a member's sample needs no re-sort.
+        assert np.all(np.diff(X[expanded[j], j]) >= 0)
 
 
 def test_flat_tree_matches_recursive_walk():

@@ -421,6 +421,46 @@ class TestKeepAliveAndMetrics:
         finally:
             conn.close()
 
+    def test_accepted_sockets_disable_nagle(self, serving, monkeypatch):
+        """Headers and body leave in two writes; with Nagle on, a busy
+        keep-alive connection holds the second for the client's delayed ACK.
+        Checks the socket option, not a timing."""
+        import socket
+
+        from repro.service.http import _ServiceHandler
+
+        nodelay = []
+        setup = _ServiceHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(_ServiceHandler, "setup", recording_setup)
+        _, _, port = serving
+        assert _get(port, "/healthz")["status"] == "ok"
+        assert nodelay == [1]
+
+    def test_request_is_counted_before_its_response_is_sent(self, serving, monkeypatch):
+        """A response the client holds must already show in /metrics: with
+        TCP_NODELAY the body can arrive before the handler thread runs on."""
+        from repro.service.http import _ServiceHandler
+
+        counts = []
+
+        def count(handler):
+            counts.append(handler.server.service.metrics.snapshot()["n_requests"])
+
+        setup, end_headers = _ServiceHandler.setup, _ServiceHandler.end_headers
+        monkeypatch.setattr(_ServiceHandler, "setup", lambda h: (setup(h), count(h)))
+        monkeypatch.setattr(_ServiceHandler, "end_headers", lambda h: (count(h), end_headers(h)))
+        _, _, port = serving
+        assert _get(port, "/healthz")["status"] == "ok"
+        at_accept, at_headers = counts
+        assert at_headers == at_accept + 1
+
     def test_metrics_endpoint_process_scope(self, serving):
         _, service, port = serving
         _post(port, "/recommend", {"dataset": dataset_payload(_clf_query(90)), "model": "clf"})

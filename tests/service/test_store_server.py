@@ -125,6 +125,45 @@ class TestRoutes:
         assert "POST /store/image" in metrics["http"]["endpoints"]
         assert metrics["http"]["n_requests"] >= 2
 
+    def test_accepted_sockets_disable_nagle(self, served_store, monkeypatch):
+        """Headers and body leave in two writes; TCP_NODELAY keeps a busy
+        keep-alive client's delayed ACK from stalling the second.  Checks the
+        socket option, not a timing."""
+        import socket
+
+        from repro.service.store_server import _StoreHandler
+
+        nodelay = []
+        setup = _StoreHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(_StoreHandler, "setup", recording_setup)
+        _store, port = served_store
+        assert _get(port, "/healthz")["status"] == "ok"
+        assert nodelay == [1]
+
+    def test_request_is_counted_before_its_response_is_sent(self, served_store, monkeypatch):
+        """A response the client holds must already show in /metrics."""
+        from repro.service.store_server import _StoreHandler
+
+        counts = []
+
+        def count(handler):
+            counts.append(handler.server.service.metrics.snapshot()["n_requests"])
+
+        setup, end_headers = _StoreHandler.setup, _StoreHandler.end_headers
+        monkeypatch.setattr(_StoreHandler, "setup", lambda h: (setup(h), count(h)))
+        monkeypatch.setattr(_StoreHandler, "end_headers", lambda h: (count(h), end_headers(h)))
+        _store, port = served_store
+        assert _get(port, "/healthz")["status"] == "ok"
+        at_accept, at_headers = counts
+        assert at_headers == at_accept + 1
+
     def test_unknown_paths_404(self, served_store):
         _store, port = served_store
         with pytest.raises(urllib.error.HTTPError) as excinfo:
