@@ -2,9 +2,10 @@
 
 Measures the three tentpole speedups of the kernel layer — tree fit, forest
 fit and batch kNN predict — against the verbatim pre-kernel implementations
-preserved in :mod:`repro.learners._reference`, asserting **score-identical
-outputs in the same run** (the equivalence suite proves bit-identity on more
-datasets; here it gates the timing so a fast-but-wrong kernel can never pass).
+preserved in ``tests/support/reference_learners.py``, asserting
+**score-identical outputs in the same run** (the equivalence suite proves
+bit-identity on more datasets; here it gates the timing so a fast-but-wrong
+kernel can never pass).
 Rule fit (vectorized condition scoring) and Bagging fit (members on shared
 sort orders) are measured and recorded the same way, outputs asserted
 identical, without a floor.
@@ -31,18 +32,19 @@ import numpy as np
 from repro.evaluation import format_table
 from repro.execution import estimator_engine
 from repro.learners import default_registry
-from repro.learners._reference import (
+from repro.learners.ensemble import Bagging
+from repro.learners.forest import RandomForest
+from repro.learners.lazy import IBk
+from repro.learners.rules import JRip
+from repro.learners.tree import DecisionTreeClassifier
+
+from reference_learners import (
     ReferenceBagging,
     ReferenceDecisionTree,
     ReferenceIBk,
     ReferenceJRip,
     ReferenceRandomForest,
 )
-from repro.learners.ensemble import Bagging
-from repro.learners.forest import RandomForest
-from repro.learners.lazy import IBk
-from repro.learners.rules import JRip
-from repro.learners.tree import DecisionTreeClassifier
 
 #: Per-run output; ``benchmarks/BENCH_kernels.json`` is the committed snapshot.
 SNAPSHOT = Path(__file__).resolve().parents[1] / ".benchmarks" / "BENCH_kernels.json"

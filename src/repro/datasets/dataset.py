@@ -184,10 +184,7 @@ class Dataset:
         dataset policy — NaNs pass through so a bare estimator on messy data
         crash-scores honestly while a pipeline's imputer earns its keep.  On
         clean data the output is byte-identical to the historical
-        impute-then-encode path (the old mean imputation was a no-op there);
-        legacy callers that relied on hard-wired imputation can use the
-        deprecated :func:`~repro.learners.preprocessing.encode_mixed_matrix`
-        shim.
+        impute-then-encode path (the old mean imputation was a no-op there).
         """
         blocks: list[np.ndarray] = []
         if self.n_numeric:

@@ -23,8 +23,8 @@ It provides
 
 Parallel batches are *replay-equivalent* to serial ones: a batch is always
 fully scheduled before its scores are consumed, so GA generations, BO
-initial designs and successive-halving rungs produce identical trajectories
-at any worker count (given a fixed ``random_state``).
+initial designs and grid sweeps produce identical trajectories at any worker
+count (given a fixed ``random_state``).
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ __all__ = [
     "EngineStats",
     "EvaluationEngine",
     "timed_call",
-    "traced_timed_call",
-    "plane_timed_call",
-    "traced_plane_timed_call",
+    "pool_timed_call",
 ]
 
 _BACKENDS = ("serial", "thread", "process")
@@ -70,46 +68,28 @@ def timed_call(objective: Callable[[dict], float], config: dict) -> tuple[float 
         return None, time.monotonic() - start, repr(exc)
 
 
-_timed_call = timed_call  # historical private name, kept for callers/tests
-
-
-def traced_timed_call(
+def pool_timed_call(
     objective: Callable[[dict], float], config: dict, header: str | None
-) -> tuple[float | None, float, str | None]:
-    """:func:`timed_call` under the submitting batch's trace context.
-
-    Executor workers — thread pools do not inherit contextvars, process
-    pools not even memory — re-establish the caller's span from the header
-    and record their own child span, so per-trial work lands in the trace
-    tree under ``evaluate_many``.  Module-level so the process backend can
-    pickle it.
-    """
-    with obs.attach(obs.parse_header(header)):
-        with obs.span("engine.trial"):
-            return timed_call(objective, config)
-
-
-def plane_timed_call(
-    objective: Callable[[dict], float], config: dict
 ) -> tuple[float | None, float, str | None, bool]:
-    """:func:`timed_call` plus a data-plane flag (4-tuple).
+    """:func:`timed_call` in a pool worker, plus a data-plane flag (4-tuple).
 
+    Pool workers — thread pools do not inherit contextvars, process pools not
+    even memory — re-establish the submitting batch's span from ``header``
+    (passed only while tracing) and record their own ``engine.trial`` child
+    span, so per-trial work lands in the trace tree under ``evaluate_many``.
     The final element reports whether the objective re-bound its dataset
-    payload from the worker-local registry — i.e. the submit pickled only
-    the light config machinery and no dataset bytes crossed the process
-    boundary.  The parent aggregates it into ``EngineStats.data_plane_hits``.
+    payload from the worker-local registry — i.e. the submit pickled only the
+    light config machinery and no dataset bytes crossed the process boundary.
+    The parent counts it into ``EngineStats.data_plane_hits``.  Module-level
+    so the process backend can pickle it.
     """
-    score, elapsed, error = timed_call(objective, config)
-    return score, elapsed, error, bool(getattr(objective, "plane_attached", False))
-
-
-def traced_plane_timed_call(
-    objective: Callable[[dict], float], config: dict, header: str | None
-) -> tuple[float | None, float, str | None, bool]:
-    """:func:`plane_timed_call` under the submitting batch's trace context."""
-    with obs.attach(obs.parse_header(header)):
-        with obs.span("engine.trial"):
-            return plane_timed_call(objective, config)
+    if header is None:
+        result = timed_call(objective, config)
+    else:
+        with obs.attach(obs.parse_header(header)):
+            with obs.span("engine.trial"):
+                result = timed_call(objective, config)
+    return (*result, bool(getattr(objective, "plane_attached", False)))
 
 
 @dataclass
@@ -260,7 +240,6 @@ class EvaluationEngine:
             n_workers=self.n_workers,
         )
         self._executor: Executor | None = None
-        self._plane_active = False
 
     @staticmethod
     def _resolve_backend(backend: str, n_workers: int, objective: Callable) -> str:
@@ -354,7 +333,7 @@ class EvaluationEngine:
         return outcome
 
     def _execute(self, config: dict[str, Any], fingerprint: tuple) -> EvalOutcome:
-        score, elapsed, error = _timed_call(self.objective, config)
+        score, elapsed, error = timed_call(self.objective, config)
         return self._record_execution(config, fingerprint, score, elapsed, error)
 
     def _record_execution(
@@ -461,8 +440,8 @@ class EvaluationEngine:
 
     def _get_executor(self, batch_size: int) -> Executor | None:
         """Lazily created, reused across batches — pool startup (worker spawn,
-        objective pickling) is paid once per engine, not once per GA generation
-        or halving rung.  :meth:`close` releases it."""
+        objective pickling) is paid once per engine, not once per GA
+        generation.  :meth:`close` releases it."""
         if self.backend == "serial" or self.n_workers == 1 or batch_size <= 1:
             return None
         if self._executor is None:
@@ -479,7 +458,6 @@ class EvaluationEngine:
                         initargs=(blocks,),
                     )
                     self.objective.detach_payload = True
-                    self._plane_active = True
                     self._stats.data_plane_payloads += len(blocks)
                 else:
                     self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
@@ -569,47 +547,20 @@ class EvaluationEngine:
             index += 1
 
         if executor is None:
-            executed = [
-                _timed_call(self.objective, configs[i]) for i, _ in wave
-            ]
+            executed = [timed_call(self.objective, configs[i]) for i, _ in wave]
         else:
             # Pool workers do not inherit the batch span's contextvar, so
             # when tracing is on the trial call re-attaches it from a header.
             header = obs.trace_header() if trace_on else None
-            if self._plane_active:
-                # Light submits: the objective pickles without its matrices;
-                # the 4th tuple element confirms the worker re-bound them
-                # from its process-local registry.
-                if header is not None:
-                    futures = [
-                        executor.submit(
-                            traced_plane_timed_call, self.objective, configs[i], header
-                        )
-                        for i, _ in wave
-                    ]
-                else:
-                    futures = [
-                        executor.submit(plane_timed_call, self.objective, configs[i])
-                        for i, _ in wave
-                    ]
-                executed = []
-                for future in futures:
-                    score, elapsed, error, plane_hit = future.result()
-                    if plane_hit:
-                        self._stats.data_plane_hits += 1
-                    executed.append((score, elapsed, error))
-            elif header is not None:
-                futures = [
-                    executor.submit(traced_timed_call, self.objective, configs[i], header)
-                    for i, _ in wave
-                ]
-                executed = [future.result() for future in futures]
-            else:
-                futures = [
-                    executor.submit(_timed_call, self.objective, configs[i])
-                    for i, _ in wave
-                ]
-                executed = [future.result() for future in futures]
+            futures = [
+                executor.submit(pool_timed_call, self.objective, configs[i], header)
+                for i, _ in wave
+            ]
+            executed = []
+            for future in futures:
+                score, elapsed, error, plane_hit = future.result()
+                self._stats.data_plane_hits += plane_hit
+                executed.append((score, elapsed, error))
         for (i, fingerprint), (score, elapsed, error) in zip(wave, executed):
             outcomes[i] = self._record_execution(
                 configs[i], fingerprint, score, elapsed, error

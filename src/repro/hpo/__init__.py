@@ -13,7 +13,6 @@ from .gp import GaussianProcess
 from .grid_search import GridSearch
 from .random_search import RandomSearch
 from .selector import HPOTechniqueSelector, choose_hpo_technique
-from .successive_halving import Hyperband, SuccessiveHalving
 from .space import (
     BoolParam,
     CategoricalParam,
@@ -38,8 +37,6 @@ __all__ = [
     "RandomSearch",
     "HPOTechniqueSelector",
     "choose_hpo_technique",
-    "Hyperband",
-    "SuccessiveHalving",
     "BoolParam",
     "CategoricalParam",
     "Condition",

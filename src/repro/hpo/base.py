@@ -157,9 +157,9 @@ class BaseOptimizer:
     def _warm_start_configs(self, problem: HPOProblem) -> list[dict[str, Any]]:
         """Valid, deduplicated prior-run bests to seed the search with.
 
-        Keys outside the problem's space (e.g. the successive-halving fidelity
-        key) are stripped before validation; anything that no longer fits the
-        space — the store may predate a space change — is silently dropped.
+        Keys outside the problem's space are stripped before validation;
+        anything that no longer fits the space — the store may predate a space
+        change — is silently dropped.
         """
         if not self.warm_start:
             return []

@@ -67,7 +67,6 @@ from .preprocessing import (
     OneHotEncoder,
     SimpleImputer,
     StandardScaler,
-    encode_mixed_matrix,
 )
 from .registry import AlgorithmRegistry, AlgorithmSpec, CAList, default_registry
 from .regression import (
@@ -122,7 +121,6 @@ __all__ = [
     "MLPClassifier", "MLPNetwork", "MLPRegressor", "MultilayerPerceptron", "RBFNetwork",
     # preprocessing
     "LabelEncoder", "MinMaxScaler", "OneHotEncoder", "SimpleImputer", "StandardScaler",
-    "encode_mixed_matrix",
     # pipelines
     "Pipeline", "PipelineFactory", "PipelineStepSpec", "ImputerStep", "ScalerStep",
     "EncoderStep", "DEFAULT_PIPELINE_STEPS", "default_pipeline_steps",

@@ -38,7 +38,7 @@ This module collects those loops as array kernels:
   and the rule learners' candidate features into blocks.
 
 Every kernel is gated on score-identical results versus the frozen
-implementations in :mod:`repro.learners._reference` — see
+implementations in ``tests/support/reference_learners.py`` — see
 ``tests/learners/test_kernel_equivalence.py``.
 """
 
@@ -52,6 +52,7 @@ __all__ = [
     "feature_orders",
     "filter_orders",
     "expand_orders",
+    "candidate_features",
     "best_split_classification",
     "best_split_regression",
     "FlatTree",
@@ -113,6 +114,28 @@ def expand_orders(orders: np.ndarray, counts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Split search
 # ---------------------------------------------------------------------------
+
+def candidate_features(
+    max_features: int | str | None, n_features: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The features one tree node searches: all of them, or a random subset.
+
+    ``max_features`` is ``None`` (all), ``"sqrt"``, ``"log2"`` or a count.  A
+    subset is exactly one ``rng.choice`` draw without replacement: a seeded
+    tree's later draws, and so its splits, depend on that call sequence.
+    """
+    if max_features is None:
+        k = n_features
+    elif max_features == "sqrt":
+        k = max(1, int(np.sqrt(n_features)))
+    elif max_features == "log2":
+        k = max(1, int(np.log2(n_features)) if n_features > 1 else 1)
+    else:
+        k = max(1, min(int(max_features), n_features))
+    if k >= n_features:
+        return np.arange(n_features)
+    return rng.choice(n_features, size=k, replace=False)
+
 
 def _impurity_matrix(counts: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
     """Impurity of every candidate split side, reduced over the class axis.

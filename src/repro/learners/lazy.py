@@ -24,7 +24,7 @@ def _pairwise_sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 #: The historical helper, unchanged operation for operation — frozen for the
-#: equivalence oracle in :mod:`repro.learners._reference`.
+#: equivalence oracle in ``tests/support/reference_learners.py``.
 _pairwise_sq_distances_exact = _pairwise_sq_distances
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "LabelEncoder",
     "OneHotEncoder",
     "SimpleImputer",
-    "encode_mixed_matrix",
 ]
 
 
@@ -339,46 +338,3 @@ class SimpleImputer:
         if self.statistics_ is None:
             raise RuntimeError("SimpleImputer is not fitted")
         return {"statistics": self.statistics_.tolist()}
-
-
-def encode_mixed_matrix(
-    numeric: np.ndarray | None, categorical: np.ndarray | None
-) -> tuple[np.ndarray, OneHotEncoder | None]:
-    """Build a dense numeric matrix from numeric + categorical attribute blocks.
-
-    .. deprecated::
-        Hard-wired encoding is superseded by searchable pipeline steps — see
-        :mod:`repro.learners.pipeline` (the imputation strategy, scaling and
-        rare-category handling are hyperparameters there, not fixed policy).
-        This shim keeps the historical behaviour for existing callers:
-        identical output on clean data, and numeric NaNs mean-imputed exactly
-        as before.
-
-    Returns the encoded matrix and the fitted :class:`OneHotEncoder` (``None``
-    when there are no categorical attributes).
-    """
-    warnings.warn(
-        "encode_mixed_matrix is deprecated; preprocessing is now a searchable "
-        "pipeline step (repro.learners.pipeline)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    blocks: list[np.ndarray] = []
-    encoder: OneHotEncoder | None = None
-    n_rows: int | None = None
-    if numeric is not None and numeric.size:
-        numeric = np.asarray(numeric, dtype=np.float64)
-        blocks.append(SimpleImputer().fit_transform(numeric))
-        n_rows = numeric.shape[0]
-    if categorical is not None and np.asarray(categorical).size:
-        categorical = np.asarray(categorical, dtype=object)
-        if categorical.ndim == 1:
-            categorical = categorical.reshape(-1, 1)
-        encoder = OneHotEncoder()
-        blocks.append(encoder.fit_transform(categorical))
-        n_rows = categorical.shape[0]
-    if not blocks:
-        raise ValueError("both numeric and categorical blocks are empty")
-    if n_rows is None:
-        raise ValueError("could not infer the number of rows")
-    return np.hstack(blocks), encoder

@@ -333,15 +333,6 @@ class DecisionTreeRegressor(BaseRegressor):
         self.max_features = max_features
         self.random_state = random_state
 
-    def _n_candidate_features(self, n_features: int) -> int:
-        if self.max_features is None:
-            return n_features
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        if self.max_features == "log2":
-            return max(1, int(np.log2(n_features)) if n_features > 1 else 1)
-        return max(1, min(int(self.max_features), n_features))
-
     def _best_split(
         self,
         X: np.ndarray,
@@ -350,14 +341,8 @@ class DecisionTreeRegressor(BaseRegressor):
         orders: np.ndarray,
         rng: np.random.Generator,
     ) -> tuple[int, float] | None:
-        n_features = X.shape[1]
         min_leaf = max(1, int(self.min_samples_leaf))
-        k = self._n_candidate_features(n_features)
-        candidates = (
-            np.arange(n_features)
-            if k >= n_features
-            else rng.choice(n_features, size=k, replace=False)
-        )
+        candidates = kernels.candidate_features(self.max_features, X.shape[1], rng)
         best: tuple[int, float] | None = None
         # ``idx`` holds the node's members in base-row order — the same order
         # the historical implementation reduced over, so the SSE floor (and

@@ -16,7 +16,7 @@ candidate feature's thresholds in one cumulative-count pass, and prediction
 walks the flattened tree arrays for a whole matrix at a time.  A direct fit
 and an ensemble member fit share one growth path (:meth:`_grow`).  Results
 are identical to the historical pure-Python implementation (frozen in
-:mod:`repro.learners._reference` and pinned by
+``tests/support/reference_learners.py`` and pinned by
 ``tests/learners/test_kernel_equivalence.py``).
 """
 
@@ -118,15 +118,6 @@ class DecisionTreeClassifier(BaseClassifier):
             return _gini(counts)
         return _entropy(counts)
 
-    def _n_candidate_features(self, n_features: int) -> int:
-        if self.max_features is None:
-            return n_features
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        if self.max_features == "log2":
-            return max(1, int(np.log2(n_features)) if n_features > 1 else 1)
-        return max(1, min(int(self.max_features), n_features))
-
     def _best_split(
         self,
         XT: np.ndarray,
@@ -145,18 +136,11 @@ class DecisionTreeClassifier(BaseClassifier):
         candidates are drawn with the same RNG calls as the historical
         per-node loop; ties keep the earliest feature and earliest position.
         """
-        n_features = XT.shape[0]
-        k = self._n_candidate_features(n_features)
-        candidates = (
-            np.arange(n_features)
-            if k >= n_features
-            else rng.choice(n_features, size=k, replace=False)
-        )
         return kernels.best_split_classification(
             XT,
             y,
             orders,
-            candidates,
+            kernels.candidate_features(self.max_features, XT.shape[0], rng),
             counts,
             impurity,
             self.criterion,

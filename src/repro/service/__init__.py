@@ -57,7 +57,6 @@ from .metrics import (
 from .pool import ServicePool, reuse_port_supported
 from .registry import ModelRegistry, ServableModel, default_registry_root
 from .store_server import (
-    StoreServer,
     StoreService,
     make_store_server,
     serve_store_in_thread,
@@ -88,7 +87,6 @@ __all__ = [
     "LoadGenerator",
     "LoadOp",
     "LoadReport",
-    "StoreServer",
     "StoreService",
     "make_store_server",
     "serve_store_in_thread",

@@ -35,11 +35,14 @@ Datasets travel as JSON: ``{"name", "task"?, "numeric"?: [[...]],
 as ``null`` and become NaN (pipeline-serving models impute them).  Fit jobs
 accept ``"pipelines": true`` to train over the pipeline-wrapped catalogue.
 The server is a ``ThreadingHTTPServer``: each connection gets a thread, and
-concurrent ``/recommend`` bodies meet in the dispatcher's micro-batches.
+concurrent ``/recommend`` bodies meet in the dispatcher's micro-batches.  Its
+request path (:class:`JsonHandler`) also serves the store server
+(:mod:`repro.service.store_server`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -65,6 +68,7 @@ __all__ = [
     "dataset_from_json",
     "route_label",
     "RecommendationService",
+    "JsonHandler",
     "ServiceServer",
     "make_http_server",
     "serve_in_thread",
@@ -422,11 +426,13 @@ class RecommendationService:
 
 
 class ServiceServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying its :class:`RecommendationService`.
+    """ThreadingHTTPServer carrying the service its handler routes to.
 
-    ``listen_socket`` lets a pre-forked worker adopt an already-listening
-    socket (created by the pool parent, or bound with ``SO_REUSEPORT``)
-    instead of binding its own — the server then only accepts on it.
+    ``service`` is a :class:`RecommendationService` or a
+    :class:`~repro.service.store_server.StoreService`.  ``listen_socket``
+    lets a pre-forked worker adopt an already-listening socket (created by
+    the pool parent, or bound with ``SO_REUSEPORT``) instead of binding its
+    own — the server then only accepts on it.
     """
 
     daemon_threads = True
@@ -436,7 +442,7 @@ class ServiceServer(ThreadingHTTPServer):
         self,
         address,
         handler,
-        service: RecommendationService,
+        service: Any,
         quiet: bool = True,
         listen_socket=None,
     ):
@@ -456,15 +462,56 @@ class ServiceServer(ThreadingHTTPServer):
             self.server_port = port
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
+def _query_value(query: str, name: str) -> str | None:
+    """The last ``name=`` value of a raw query string (empty reads ``None``)."""
+    value = None
+    for part in query.split("&"):
+        key, sep, raw = part.partition("=")
+        if sep and key == name:
+            value = raw or None
+    return value
+
+
+def _json_body(raw: bytes) -> Any:
+    """A POST body as JSON (an empty body reads ``{}``; malformed is a 400)."""
+    if not raw:
+        return {}
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise ServiceError(400, f"invalid JSON body: {exc}") from exc
+
+
+class JsonHandler(BaseHTTPRequestHandler):
+    """The JSON-over-HTTP request path of both servers.
+
+    A subclass names its request span and error site, labels paths for
+    metrics (``route_label``) and maps ``"<METHOD> <label>"`` to a payload
+    method of ``server.service`` in ``routes``: a label's ``{...}`` segment
+    is the method's first argument, the named query parameters follow, and a
+    POST passes its parsed JSON body last.  Every response is counted in
+    ``/metrics`` before it is written; an unknown route answers 404, a
+    :class:`ServiceError` its own status, anything else 500.
+    """
+
     server: ServiceServer
     protocol_version = "HTTP/1.1"
     # A response leaves in two writes (headers, then body); with Nagle on, a
     # busy keep-alive connection holds the second one for the client's
     # delayed ACK (~40 ms per request).
     disable_nagle_algorithm = True
+    span_name: str
+    error_site: str
+    routes: dict[str, tuple[str, ...]]
 
-    # -- plumbing ----------------------------------------------------------------------
+    @staticmethod
+    def route_label(path: str) -> str:
+        raise NotImplementedError
+
+    def admit(self):
+        """The admission gate every routed payload call runs under."""
+        return contextlib.nullcontext()
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002 — stdlib signature
         if not self.server.quiet:  # pragma: no cover - debug aid
             super().log_message(format, *args)
@@ -478,7 +525,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         # response it holds must already show in /metrics.
         elapsed = time.monotonic() - getattr(self, "_started", time.monotonic())
         self.server.service.metrics.observe(
-            self.command, route_label(self.path), status, elapsed
+            self.command, self.route_label(self.path), status, elapsed
         )
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -488,82 +535,89 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
+    def _read_body(self) -> bytes:
+        """Consume the request body before anything answers: a kept-alive
+        connection's next request must start at its request line, whether
+        this one is routed, a 404 or shed by :meth:`admit`.  Without a
+        readable ``Content-Length`` there is no telling where that line
+        starts, so the request is a 400 that closes the connection."""
+        value = self.headers.get("Content-Length") or "0"
         try:
-            return json.loads(raw.decode("utf-8"))
-        except ValueError as exc:
-            raise ServiceError(400, f"invalid JSON body: {exc}") from exc
+            length = int(value)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ServiceError(400, f"invalid Content-Length {value!r}")
+        return self.rfile.read(length) if length else b""
 
     def _dispatch(self, fn) -> None:
         with obs.attach_header(self.headers.get(obs.TRACE_HEADER)):
             with obs.span(
-                "service.request",
-                attrs={"route": route_label(self.path), "method": self.command},
+                self.span_name,
+                attrs={"route": self.route_label(self.path), "method": self.command},
             ):
                 try:
-                    payload = fn()
+                    with self.admit():
+                        payload = fn()
                 except ServiceError as exc:
                     self._send_json(
                         exc.status, {"error": str(exc)}, retry_after=exc.retry_after
                     )
                 except Exception as exc:  # noqa: BLE001 — one request never kills the server
-                    obs.error_event("service.dispatch", exc)
+                    obs.error_event(self.error_site, exc)
                     self._send_json(500, {"error": f"internal error: {exc}"})
                 else:
                     self._send_json(200, payload)
 
-    # -- routes ------------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 — stdlib naming
+    def _route(self) -> None:
+        """Answer one GET or POST from ``routes``."""
         self._started = time.monotonic()
-        service = self.server.service
+        try:
+            raw = self._read_body()
+        except ServiceError as exc:
+            self._send_json(exc.status, {"error": str(exc)})
+            return
         path, _, query = self.path.partition("?")
-        if path == "/healthz":
-            self._dispatch(service.healthz_payload)
-        elif path == "/metrics":
-            self._dispatch(service.metrics_response)
-        elif path == "/models":
-            self._dispatch(service.models_payload)
-        elif path == "/jobs":
-            status = None
-            for part in query.split("&"):
-                if part.startswith("status="):
-                    status = part.split("=", 1)[1] or None
-            self._dispatch(lambda: service.jobs_payload(status))
-        elif path.startswith("/jobs/"):
-            job_id = path[len("/jobs/"):]
-            self._dispatch(lambda: service.job_payload(job_id))
-        elif path.startswith("/trace/"):
-            trace_id = path[len("/trace/"):]
-            self._dispatch(lambda: service.trace_payload(trace_id))
-        elif path.startswith("/models/") and path.endswith("/export"):
-            name = path[len("/models/"):-len("/export")]
-            version = None
-            for part in query.split("&"):
-                if part.startswith("version="):
-                    version = part.split("=", 1)[1] or None
-            self._dispatch(lambda: service.export_payload(name, version))
-        else:
-            self._send_json(404, {"error": f"unknown path {path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 — stdlib naming
-        self._started = time.monotonic()
-        service = self.server.service
-        path = self.path.partition("?")[0]
-        routes = {
-            "/recommend": service.recommend_payload,
-            "/models/promote": service.promote_payload,
-            "/models/rollback": service.rollback_payload,
-            "/jobs": service.submit_job_payload,
-        }
-        handler = routes.get(path)
-        if handler is None:
+        label = self.route_label(path)
+        route = self.routes.get(f"{self.command} {label}")
+        if route is None:
             self._send_json(404, {"error": f"unknown path {path!r}"})
             return
-        self._dispatch(lambda: handler(self._read_body()))
+        name, *params = route
+        head, brace, tail = label.partition("{")
+        args = []
+        if brace:  # the path segment the label's {...} placeholder stands for
+            args.append(path[len(head):len(path) - len(tail.partition("}")[2])])
+        args += [_query_value(query, param) for param in params]
+        # Looked up per request, so a payload method patched on the service
+        # class is the one that runs.
+        payload = getattr(self.server.service, name)
+        if self.command == "POST":
+            self._dispatch(lambda: payload(*args, _json_body(raw)))
+        else:
+            self._dispatch(lambda: payload(*args))
+
+    do_GET = do_POST = _route  # noqa: N815 — stdlib naming
+
+
+class _ServiceHandler(JsonHandler):
+    span_name = "service.request"
+    error_site = "service.dispatch"
+    route_label = staticmethod(route_label)
+    routes = {
+        "GET /healthz": ("healthz_payload",),
+        "GET /metrics": ("metrics_response",),
+        "GET /models": ("models_payload",),
+        "GET /jobs": ("jobs_payload", "status"),
+        "GET /jobs/{id}": ("job_payload",),
+        "GET /trace/{id}": ("trace_payload",),
+        "GET /models/{name}/export": ("export_payload", "version"),
+        "POST /recommend": ("recommend_payload",),
+        "POST /models/promote": ("promote_payload",),
+        "POST /models/rollback": ("rollback_payload",),
+        "POST /jobs": ("submit_job_payload",),
+    }
 
 
 def make_http_server(

@@ -237,7 +237,9 @@ class MetricsDirectory:
 
     Each worker owns ``worker-<id>.json`` (written via a temp file +
     ``os.replace`` so readers never parse a torn write); any worker — or the
-    parent pool — reads every file to build the aggregate view.
+    parent pool — reads every file to build the aggregate view.  A worker's
+    flusher thread and its ``/metrics`` handler both write, so the temp file
+    is per thread: a shared one could be moved away under the other writer.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -246,7 +248,9 @@ class MetricsDirectory:
 
     def write(self, worker_id: int | str, payload: dict) -> None:
         target = self.path / f"worker-{worker_id}.json"
-        tmp = target.with_name(target.name + f".tmp{os.getpid()}")
+        tmp = target.with_name(
+            f"{target.name}.tmp{os.getpid()}-{threading.get_ident()}"
+        )
         tmp.write_text(json.dumps(payload), encoding="utf-8")
         os.replace(tmp, target)
 

@@ -3,10 +3,11 @@
 The distributed knowledge loop needs writers on *other hosts*: fleet workers
 coordinated by a :class:`~repro.execution.coordinator.WorkCoordinator` whose
 only shared substrate is the network.  This module serves one authoritative
-``ResultStore`` (over its JSONL or sqlite backend) on the same stdlib HTTP
-stack as the recommendation service — per-route :class:`ServiceMetrics`,
-semaphore admission control with ``429 + Retry-After``, threaded connections
-— and :class:`~repro.execution.store_backends.HttpStoreBackend` is its
+``ResultStore`` (over its JSONL or sqlite backend) through the recommendation
+service's request path (:class:`~repro.service.http.JsonHandler`) — per-route
+:class:`ServiceMetrics`, semaphore admission control with ``429 +
+Retry-After``, threaded connections — and
+:class:`~repro.execution.store_backends.HttpStoreBackend` is its
 client: any ``ResultStore("http://host:port")`` on any machine reads and
 writes this one.
 
@@ -29,20 +30,16 @@ same zero-lost-write guarantee as N local threads.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from .. import obs
 from ..execution.store import ResultStore
-from .http import ServiceError
+from .http import JsonHandler, ServiceError, ServiceServer
 from .metrics import ServiceMetrics
 
 __all__ = [
     "StoreService",
-    "StoreServer",
     "make_store_server",
     "serve_store_in_thread",
     "store_route_label",
@@ -172,111 +169,21 @@ class _Admission:
             self._held = False
 
 
-# The HTTP plumbing mirrors service.http deliberately (same handler shape,
-# same JSON error contract) but stays a separate, tiny handler: the store
-# routes carry no registry/dispatcher state and must not grow any.
-class StoreServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying its :class:`StoreService`."""
+class _StoreHandler(JsonHandler):
+    span_name = "store.request"
+    error_site = "store_server.dispatch"
+    route_label = staticmethod(store_route_label)
+    routes = {
+        "GET /healthz": ("healthz_payload",),
+        "GET /metrics": ("metrics_payload",),
+        "GET /store/contexts": ("contexts_payload",),
+        "POST /store/image": ("image_payload",),
+        "POST /store/put": ("put_payload",),
+        "POST /store/compact": ("compact_payload",),
+    }
 
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, handler, service: StoreService, quiet: bool = True):
-        self.service = service
-        self.quiet = quiet
-        super().__init__(address, handler)
-
-
-class _StoreHandler(BaseHTTPRequestHandler):
-    server: StoreServer
-    protocol_version = "HTTP/1.1"
-    # Headers and body go out in two writes; without TCP_NODELAY a keep-alive
-    # client's delayed ACK stalls the second one.
-    disable_nagle_algorithm = True
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002 — stdlib signature
-        if not self.server.quiet:  # pragma: no cover - debug aid
-            super().log_message(format, *args)
-
-    def _send_json(
-        self, status: int, payload: dict, retry_after: float | None = None
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        # Counted before any byte leaves: with TCP_NODELAY the client can
-        # hold the whole response before this thread runs again, and a
-        # response it holds must already show in /metrics.
-        elapsed = time.monotonic() - getattr(self, "_started", time.monotonic())
-        self.server.service.metrics.observe(
-            self.command, store_route_label(self.path), status, elapsed
-        )
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", f"{max(retry_after, 0.0):.3f}")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except ValueError as exc:
-            raise ServiceError(400, f"invalid JSON body: {exc}") from exc
-
-    def _dispatch(self, fn) -> None:
-        service = self.server.service
-        with obs.attach_header(self.headers.get(obs.TRACE_HEADER)):
-            with obs.span(
-                "store.request",
-                attrs={
-                    "route": store_route_label(self.path),
-                    "method": self.command,
-                },
-            ):
-                try:
-                    with service.admit():
-                        payload = fn()
-                except ServiceError as exc:
-                    self._send_json(
-                        exc.status, {"error": str(exc)}, retry_after=exc.retry_after
-                    )
-                except Exception as exc:  # noqa: BLE001 — one request never kills the server
-                    obs.error_event("store_server.dispatch", exc)
-                    self._send_json(500, {"error": f"internal error: {exc}"})
-                else:
-                    self._send_json(200, payload)
-
-    def do_GET(self) -> None:  # noqa: N802 — stdlib naming
-        self._started = time.monotonic()
-        service = self.server.service
-        path = self.path.partition("?")[0]
-        if path == "/healthz":
-            self._dispatch(service.healthz_payload)
-        elif path == "/metrics":
-            self._dispatch(service.metrics_payload)
-        elif path == "/store/contexts":
-            self._dispatch(service.contexts_payload)
-        else:
-            self._send_json(404, {"error": f"unknown path {path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 — stdlib naming
-        self._started = time.monotonic()
-        service = self.server.service
-        path = self.path.partition("?")[0]
-        routes = {
-            "/store/image": service.image_payload,
-            "/store/put": service.put_payload,
-            "/store/compact": service.compact_payload,
-        }
-        handler = routes.get(path)
-        if handler is None:
-            self._send_json(404, {"error": f"unknown path {path!r}"})
-            return
-        self._dispatch(lambda: handler(self._read_body()))
+    def admit(self):
+        return self.server.service.admit()
 
 
 def make_store_server(
@@ -284,16 +191,16 @@ def make_store_server(
     host: str = "127.0.0.1",
     port: int = 0,
     quiet: bool = True,
-) -> StoreServer:
+) -> ServiceServer:
     """Bind the store front end (``port=0`` picks an ephemeral port)."""
     if isinstance(service, ResultStore):
         service = StoreService(service)
-    return StoreServer((host, port), _StoreHandler, service, quiet=quiet)
+    return ServiceServer((host, port), _StoreHandler, service, quiet=quiet)
 
 
 def serve_store_in_thread(
     service: StoreService | ResultStore, host: str = "127.0.0.1", port: int = 0
-) -> tuple[StoreServer, threading.Thread]:
+) -> tuple[ServiceServer, threading.Thread]:
     """Convenience for tests/examples: serve on a daemon thread, return both."""
     server = make_store_server(service, host=host, port=port)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -212,12 +212,10 @@ class TestResultObject:
 
 
 class TestWarmStartSeeding:
-    """All six optimizers accept warm_start=k and evaluate prior bests early."""
+    """All four optimizers accept warm_start=k and evaluate prior bests early."""
 
     @staticmethod
     def _optimizers():
-        from repro.hpo import Hyperband, SuccessiveHalving
-
         return [
             GridSearch(resolution=3, warm_start=2),
             RandomSearch(random_state=0, warm_start=2),
@@ -225,12 +223,6 @@ class TestWarmStartSeeding:
                 population_size=6, n_generations=2, random_state=0, warm_start=2
             ),
             BayesianOptimization(n_initial=4, random_state=0, warm_start=2),
-            SuccessiveHalving(
-                n_configurations=6, fidelity_key=None, random_state=0, warm_start=2
-            ),
-            Hyperband(
-                n_configurations=6, fidelity_key=None, random_state=0, warm_start=2
-            ),
         ]
 
     @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 The vectorized kernels (:mod:`repro.learners.kernels`) are only allowed to be
 fast — every fitted model and every prediction must match the historical
-pure-Python implementations frozen in :mod:`repro.learners._reference`.
+pure-Python implementations frozen in ``tests/support/reference_learners.py``.
 Equality here is ``np.array_equal`` (bit-identical probabilities, tie-breaking
 included) except for LWL, whose vote accumulation order changed (bincount vs
 per-class masked sums) and is pinned to allclose + identical label decisions.
@@ -20,21 +20,6 @@ import numpy as np
 import pytest
 
 from repro.learners import kernels
-from repro.learners._reference import (
-    ReferenceAdaBoostM1,
-    ReferenceBagging,
-    ReferenceDecisionTree,
-    ReferenceIBk,
-    ReferenceJRip,
-    ReferenceKNeighborsRegressor,
-    ReferenceKStar,
-    ReferenceLWL,
-    ReferencePART,
-    ReferenceDecisionTreeRegressor,
-    ReferenceRandomForest,
-    ReferenceRandomSubSpace,
-    ReferenceRidor,
-)
 from repro.learners.ensemble import AdaBoostM1, Bagging, RandomSubSpace
 from repro.learners.forest import ExtraTrees, RandomForest
 from repro.learners.lazy import IB1, IBk, KStar, LWL
@@ -48,6 +33,22 @@ from repro.learners.tree import (
     REPTree,
     RandomTree,
     SimpleCart,
+)
+
+from reference_learners import (
+    ReferenceAdaBoostM1,
+    ReferenceBagging,
+    ReferenceDecisionTree,
+    ReferenceIBk,
+    ReferenceJRip,
+    ReferenceKNeighborsRegressor,
+    ReferenceKStar,
+    ReferenceLWL,
+    ReferencePART,
+    ReferenceDecisionTreeRegressor,
+    ReferenceRandomForest,
+    ReferenceRandomSubSpace,
+    ReferenceRidor,
 )
 
 

@@ -12,7 +12,6 @@ from repro.learners.preprocessing import (
     OneHotEncoder,
     SimpleImputer,
     StandardScaler,
-    encode_mixed_matrix,
 )
 
 
@@ -114,24 +113,6 @@ class TestSimpleImputer:
     def test_unknown_strategy_raises(self):
         with pytest.raises(ValueError):
             SimpleImputer(strategy="mode")
-
-
-class TestEncodeMixedMatrix:
-    def test_numeric_plus_categorical(self):
-        numeric = np.array([[1.0], [2.0]])
-        categorical = np.array([["a"], ["b"]], dtype=object)
-        X, encoder = encode_mixed_matrix(numeric, categorical)
-        assert X.shape == (2, 3)
-        assert encoder is not None
-
-    def test_numeric_only(self):
-        X, encoder = encode_mixed_matrix(np.array([[1.0, 2.0]]), None)
-        assert X.shape == (1, 2)
-        assert encoder is None
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            encode_mixed_matrix(None, None)
 
 
 class TestScalerProperties:

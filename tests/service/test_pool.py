@@ -183,5 +183,15 @@ class TestSupervision:
                     if pids and victim not in pids:
                         break
                     time.sleep(0.05)
-            status, _ = _request(pool, "GET", "/healthz")
+            # The replacement's pid is recorded right after fork, before it
+            # listens; under SO_REUSEPORT the parent's socket is bound but
+            # not listening, so until then a connection is refused.
+            while True:
+                try:
+                    status, _ = _request(pool, "GET", "/healthz")
+                    break
+                except ConnectionRefusedError:
+                    if time.monotonic() >= deadline:
+                        raise
+                    time.sleep(0.05)
             assert status == 200

@@ -185,6 +185,28 @@ class TestMetricsDirectory:
         (tmp_path / "worker-bad.json").write_text("{torn", encoding="utf-8")
         assert store.read_all() == [{"n": 1}]
 
+    def test_two_threads_of_one_worker_write_concurrently(self, tmp_path, monkeypatch):
+        """A pool worker's flusher and its /metrics handler both flush: a
+        second write landing between the first's temp write and its
+        ``os.replace`` must not move the first's temp file away."""
+        import repro.service.metrics as metrics_module
+
+        store = MetricsDirectory(tmp_path)
+        real_replace = metrics_module.os.replace
+        interleaved = []
+
+        def replace_after_another_write(src, dst):
+            if not interleaved:
+                interleaved.append(True)
+                other = threading.Thread(target=store.write, args=("w0", {"n": 2}))
+                other.start()
+                other.join()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(metrics_module.os, "replace", replace_after_another_write)
+        store.write("w0", {"n": 1})
+        assert store.read_all() == [{"n": 1}]
+
 
 def _worker_payload(worker_id, n_requests, samples_ms, n_shed=0, batches=None):
     latency = {

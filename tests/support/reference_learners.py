@@ -22,14 +22,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import obs
-from .base import BaseClassifier, clone
-from .ensemble import AdaBoostM1, Bagging, RandomSubSpace, _default_base
-from .forest import RandomForest
-from .lazy import IBk, KStar, LWL, _pairwise_sq_distances_exact
-from .regression import DecisionTreeRegressor, KNeighborsRegressor, _RegressionNode
-from .rules import JRip, PART, Ridor, _Rule, _SequentialCovering
-from .tree import DecisionStump, DecisionTreeClassifier, _entropy, _Node
+from repro import obs
+from repro.learners.base import BaseClassifier, clone
+from repro.learners.ensemble import AdaBoostM1, Bagging, RandomSubSpace, _default_base
+from repro.learners.forest import RandomForest
+from repro.learners.lazy import IBk, KStar, LWL, _pairwise_sq_distances_exact
+from repro.learners.regression import (
+    DecisionTreeRegressor,
+    KNeighborsRegressor,
+    _RegressionNode,
+)
+from repro.learners.rules import JRip, PART, Ridor, _Rule, _SequentialCovering
+from repro.learners.tree import DecisionStump, DecisionTreeClassifier, _entropy, _Node
 
 __all__ = [
     "ReferenceDecisionTree",
@@ -54,7 +58,20 @@ def _class_distribution(y: np.ndarray, n_classes: int) -> np.ndarray:
     return counts / total if total > 0 else np.full(n_classes, 1.0 / n_classes)
 
 
-class ReferenceDecisionTree(DecisionTreeClassifier):
+class _CandidateCount:
+    """The trees' per-node candidate-feature count, frozen with their loops."""
+
+    def _n_candidate_features(self, n_features: int) -> int:
+        if self.max_features is None:
+            return n_features
+        if self.max_features == "sqrt":
+            return max(1, int(np.sqrt(n_features)))
+        if self.max_features == "log2":
+            return max(1, int(np.log2(n_features)) if n_features > 1 else 1)
+        return max(1, min(int(self.max_features), n_features))
+
+
+class ReferenceDecisionTree(_CandidateCount, DecisionTreeClassifier):
     """The pre-kernel tree: per-node stable argsort + Python threshold loop."""
 
     def _best_split(
@@ -400,7 +417,7 @@ class ReferenceLWL(LWL):
         return proba / proba.sum(axis=1, keepdims=True)
 
 
-class ReferenceDecisionTreeRegressor(DecisionTreeRegressor):
+class ReferenceDecisionTreeRegressor(_CandidateCount, DecisionTreeRegressor):
     """The pre-kernel regression tree: per-node sort + Python prefix-sum loop."""
 
     def _best_split(

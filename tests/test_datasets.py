@@ -268,20 +268,3 @@ class TestMatrixEncoding:
         dataset = make_gaussian_clusters("num", n_records=40, n_numeric=4, random_state=0)
         X, y = dataset.to_raw_matrix()
         assert X.dtype == np.float64 and X.shape == (40, 4)
-
-    def test_encode_mixed_matrix_shim_warns_and_matches_legacy_output(self):
-        from repro.learners.preprocessing import (
-            OneHotEncoder,
-            SimpleImputer,
-            encode_mixed_matrix,
-        )
-
-        dataset = self._mixed()
-        with pytest.warns(DeprecationWarning):
-            X, encoder = encode_mixed_matrix(dataset.numeric, dataset.categorical)
-        legacy = np.hstack([
-            SimpleImputer().fit_transform(dataset.numeric),
-            OneHotEncoder().fit_transform(dataset.categorical),
-        ])
-        assert np.array_equal(X, legacy)
-        assert encoder is not None and encoder.n_output_features_ > 0
