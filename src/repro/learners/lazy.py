@@ -23,11 +23,6 @@ def _pairwise_sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return kernels.pairwise_sq_distances(A, B)
 
 
-#: The historical helper, unchanged operation for operation — frozen for the
-#: equivalence oracle in ``tests/support/reference_learners.py``.
-_pairwise_sq_distances_exact = _pairwise_sq_distances
-
-
 class IBk(BaseClassifier):
     """k-nearest-neighbours with optional distance weighting (Weka IBk)."""
 

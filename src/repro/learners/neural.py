@@ -24,23 +24,28 @@ _LEARNING_RATES = ("constant", "invscaling", "adaptive")
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """Apply a hidden-layer activation to ``z`` in place and return it."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "logistic":
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))
+        np.maximum(z, 0.0, out=z)
+    elif kind == "tanh":
+        np.tanh(z, out=z)
+    elif kind == "logistic":
+        z[...] = 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))
     return z
 
 
-def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (a > 0).astype(np.float64)
-    if kind == "tanh":
-        return 1.0 - a * a
-    if kind == "logistic":
-        return a * (1.0 - a)
-    return np.ones_like(a)
+def _layer_views(
+    flat: np.ndarray, shapes: list[tuple[int, int]]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into ``flat``: all weights, then all biases."""
+    weights, biases, offset = [], [], 0
+    for a, b in shapes:
+        weights.append(flat[offset : offset + a * b].reshape(a, b))
+        offset += a * b
+    for _, b in shapes:
+        biases.append(flat[offset : offset + b])
+        offset += b
+    return weights, biases
 
 
 class MLPNetwork:
@@ -49,6 +54,16 @@ class MLPNetwork:
     This is the shared engine behind :class:`MLPClassifier` and
     :class:`MLPRegressor`; the ``task`` argument switches between a softmax
     cross-entropy head and a linear squared-error head.
+
+    ``fit`` keeps the parameters in one flat buffer (all weights, then all
+    biases) with ``weights_`` and ``biases_`` as per-layer views, and the
+    gradients, SGD velocity and Adam moments in matching flat buffers, so
+    weight decay, each optimiser step and the best-weights snapshot are a few
+    whole-buffer calls whatever the depth.  Every elementwise operation keeps
+    the operands and order of a per-layer update, so the rounding is the
+    same; ``tests/learners/test_mlp_equivalence.py`` checks that bit for bit
+    against the per-layer engine.  ``forward`` also takes plain per-layer
+    lists assigned from outside.
     """
 
     def __init__(
@@ -93,49 +108,44 @@ class MLPNetwork:
         self.tol = tol
         self.random_state = random_state
 
-    # -- initialisation ----------------------------------------------------------
-    def _init_weights(self, n_in: int, n_out: int, rng: np.random.Generator) -> None:
-        sizes = [n_in] + self.layer_sizes + [n_out]
-        self.weights_: list[np.ndarray] = []
-        self.biases_: list[np.ndarray] = []
-        for a, b in zip(sizes[:-1], sizes[1:]):
-            limit = np.sqrt(6.0 / (a + b))
-            self.weights_.append(rng.uniform(-limit, limit, size=(a, b)))
-            self.biases_.append(np.zeros(b))
-
     # -- forward / backward --------------------------------------------------------
     def _forward(self, X: np.ndarray) -> list[np.ndarray]:
         activations = [X]
+        last_layer = len(self.weights_) - 1
         for i, (W, b) in enumerate(zip(self.weights_, self.biases_)):
-            z = activations[-1] @ W + b
-            last_layer = i == len(self.weights_) - 1
-            if last_layer:
-                if self.task == "classification":
-                    z = z - z.max(axis=1, keepdims=True)
-                    exp = np.exp(z)
-                    activations.append(exp / exp.sum(axis=1, keepdims=True))
-                else:
-                    activations.append(z)
-            else:
-                activations.append(_activate(z, self.activation))
+            z = activations[-1] @ W
+            z += b
+            if i < last_layer:
+                _activate(z, self.activation)
+            elif self.task == "classification":
+                z -= z.max(axis=1, keepdims=True)
+                np.exp(z, out=z)
+                z /= z.sum(axis=1, keepdims=True)
+            activations.append(z)
         return activations
 
     def _backward(
-        self, activations: list[np.ndarray], Y: np.ndarray
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        n = Y.shape[0]
-        grads_W: list[np.ndarray] = [np.zeros_like(W) for W in self.weights_]
-        grads_b: list[np.ndarray] = [np.zeros_like(b) for b in self.biases_]
+        self,
+        activations: list[np.ndarray],
+        Y: np.ndarray,
+        grads_W: list[np.ndarray],
+        grads_b: list[np.ndarray],
+    ) -> None:
+        """Write the data term of each layer's gradient into its view."""
         # Both softmax+cross-entropy and identity+MSE have the same output delta.
-        delta = (activations[-1] - Y) / n
+        delta = (activations[-1] - Y) / Y.shape[0]
         for i in range(len(self.weights_) - 1, -1, -1):
-            grads_W[i] = activations[i].T @ delta + self.alpha * self.weights_[i]
-            grads_b[i] = delta.sum(axis=0)
+            np.matmul(activations[i].T, delta, out=grads_W[i])
+            delta.sum(axis=0, out=grads_b[i])
             if i > 0:
-                delta = (delta @ self.weights_[i].T) * _activate_grad(
-                    activations[i], self.activation
-                )
-        return grads_W, grads_b
+                delta = delta @ self.weights_[i].T
+                a = activations[i]
+                if self.activation == "relu":
+                    delta *= a > 0
+                elif self.activation == "tanh":
+                    delta *= np.subtract(1.0, a * a)
+                elif self.activation == "logistic":
+                    delta *= a * (1.0 - a)
 
     def _loss(self, X: np.ndarray, Y: np.ndarray) -> float:
         output = self._forward(X)[-1]
@@ -150,7 +160,14 @@ class MLPNetwork:
         if Y.ndim == 1:
             Y = Y.reshape(-1, 1)
         rng = np.random.default_rng(self.random_state)
-        self._init_weights(X.shape[1], Y.shape[1], rng)
+        sizes = [X.shape[1]] + self.layer_sizes + [Y.shape[1]]
+        shapes = list(zip(sizes[:-1], sizes[1:]))
+        n_weights = sum(a * b for a, b in shapes)
+        params = np.zeros(n_weights + sum(sizes[1:]))
+        self.weights_, self.biases_ = _layer_views(params, shapes)
+        for W, (a, b) in zip(self.weights_, shapes):
+            limit = np.sqrt(6.0 / (a + b))
+            W[...] = rng.uniform(-limit, limit, size=(a, b))
 
         n = X.shape[0]
         use_validation = 0.0 < self.validation_fraction < 0.9 and n >= 20
@@ -164,15 +181,14 @@ class MLPNetwork:
             X_train, Y_train = X, Y
             X_val, Y_val = X, Y
 
-        velocity_W = [np.zeros_like(W) for W in self.weights_]
-        velocity_b = [np.zeros_like(b) for b in self.biases_]
-        m_W = [np.zeros_like(W) for W in self.weights_]
-        m_b = [np.zeros_like(b) for b in self.biases_]
-        v_W = [np.zeros_like(W) for W in self.weights_]
-        v_b = [np.zeros_like(b) for b in self.biases_]
+        grads = np.empty_like(params)
+        grads_W, grads_b = _layer_views(grads, shapes)
+        step, denom, best = (np.empty_like(params) for _ in range(3))
+        velocity, m, v = (np.zeros_like(params) for _ in range(3))
+        weights, weight_grads, weight_decay = params[:n_weights], grads[:n_weights], step[:n_weights]
 
         best_val = np.inf
-        best_weights = None
+        improved = False
         patience, stale = 15, 0
         adam_step = 0
         base_lr = self.learning_rate_init
@@ -186,38 +202,40 @@ class MLPNetwork:
             for start in range(0, len(order), batch):
                 idx = order[start : start + batch]
                 activations = self._forward(X_train[idx])
-                grads_W, grads_b = self._backward(activations, Y_train[idx])
+                self._backward(activations, Y_train[idx], grads_W, grads_b)
+                # grad_W = data term + alpha * W, over every layer at once.
+                np.multiply(self.alpha, weights, out=weight_decay)
+                weight_grads += weight_decay
                 if self.solver == "adam":
                     adam_step += 1
-                    for i in range(len(self.weights_)):
-                        m_W[i] = self.beta_1 * m_W[i] + (1 - self.beta_1) * grads_W[i]
-                        v_W[i] = self.beta_2 * v_W[i] + (1 - self.beta_2) * grads_W[i] ** 2
-                        m_b[i] = self.beta_1 * m_b[i] + (1 - self.beta_1) * grads_b[i]
-                        v_b[i] = self.beta_2 * v_b[i] + (1 - self.beta_2) * grads_b[i] ** 2
-                        m_hat_W = m_W[i] / (1 - self.beta_1**adam_step)
-                        v_hat_W = v_W[i] / (1 - self.beta_2**adam_step)
-                        m_hat_b = m_b[i] / (1 - self.beta_1**adam_step)
-                        v_hat_b = v_b[i] / (1 - self.beta_2**adam_step)
-                        self.weights_[i] -= lr * m_hat_W / (np.sqrt(v_hat_W) + 1e-8)
-                        self.biases_[i] -= lr * m_hat_b / (np.sqrt(v_hat_b) + 1e-8)
+                    m *= self.beta_1
+                    np.multiply(1 - self.beta_1, grads, out=step)
+                    m += step
+                    v *= self.beta_2
+                    np.square(grads, out=step)
+                    step *= 1 - self.beta_2
+                    v += step
+                    np.divide(m, 1 - self.beta_1**adam_step, out=step)
+                    np.divide(v, 1 - self.beta_2**adam_step, out=denom)
+                    np.sqrt(denom, out=denom)
+                    denom += 1e-8
+                    step *= lr
+                    step /= denom
+                    params -= step
                 elif self.solver == "sgd":
-                    for i in range(len(self.weights_)):
-                        velocity_W[i] = self.momentum * velocity_W[i] - lr * grads_W[i]
-                        velocity_b[i] = self.momentum * velocity_b[i] - lr * grads_b[i]
-                        self.weights_[i] += velocity_W[i]
-                        self.biases_[i] += velocity_b[i]
+                    velocity *= self.momentum
+                    np.multiply(lr, grads, out=step)
+                    velocity -= step
+                    params += velocity
                 else:  # "lbfgs" approximated by plain full-precision gradient steps
-                    for i in range(len(self.weights_)):
-                        self.weights_[i] -= lr * grads_W[i]
-                        self.biases_[i] -= lr * grads_b[i]
+                    np.multiply(lr, grads, out=step)
+                    params -= step
 
             val_loss = self._loss(X_val, Y_val)
             if val_loss < best_val - self.tol:
                 best_val = val_loss
-                best_weights = (
-                    [W.copy() for W in self.weights_],
-                    [b.copy() for b in self.biases_],
-                )
+                np.copyto(best, params)
+                improved = True
                 stale = 0
             else:
                 stale += 1
@@ -225,8 +243,9 @@ class MLPNetwork:
                     lr = max(lr / 2.0, 1e-5)
                 if stale >= patience:
                     break
-        if best_weights is not None:
-            self.weights_, self.biases_ = best_weights
+        # The fitted layers are views of the best snapshot; the working
+        # buffers are dropped with this frame.
+        self.weights_, self.biases_ = _layer_views(best if improved else params, shapes)
         self.best_validation_loss_ = float(best_val)
         return self
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import AutoModel, DecisionMakingModelDesigner, UserDemandResponser
+from repro.core.concepts import KnowledgeBase, KnowledgePair
 from repro.core.udr import CASHSolution
 from repro.datasets import make_gaussian_clusters
 
@@ -69,9 +70,29 @@ class TestDMD:
         result = dmd.run(small_corpus, dataset_lookup)
         assert len(result.key_features) == 23
 
-    def test_fails_when_too_few_pairs_resolve(self, fast_dmd, small_corpus):
-        with pytest.raises(ValueError):
-            fast_dmd.run(small_corpus, dataset_lookup={})
+    @pytest.mark.parametrize("n_resolved", [0, 3])
+    def test_fails_when_too_few_pairs_resolve(
+        self, fast_dmd, small_corpus, dataset_lookup, n_resolved
+    ):
+        pairs = fast_dmd.acquire_knowledge(small_corpus)
+        lookup = {pair.instance: dataset_lookup[pair.instance] for pair in pairs[:n_resolved]}
+        assert len(KnowledgeBase.from_pairs(pairs, lookup)) == n_resolved
+        with pytest.raises(ValueError, match=f"only {n_resolved} knowledge pairs"):
+            fast_dmd.run(small_corpus, dataset_lookup=lookup)
+
+    def test_single_label_knowledge_picks_that_label(
+        self, fast_dmd, small_corpus, dataset_lookup, monkeypatch
+    ):
+        pairs = [KnowledgePair(instance=name, algorithm="J48") for name in dataset_lookup]
+        monkeypatch.setattr(fast_dmd, "acquire_knowledge", lambda corpus: pairs)
+        result = fast_dmd.run(small_corpus, dataset_lookup)
+        assert result.knowledge_base.algorithm_labels == ["J48"]
+        # One class: every fold's softmax is 1.0 on it, so Algorithm 2 scores
+        # every feature subset a perfect 1.0.
+        assert result.feature_selection.score == 1.0
+        datasets = list(dataset_lookup.values())
+        assert result.model.select_many(datasets) == ["J48"] * len(datasets)
+        assert result.diagnostics["training_selection_agreement"] == 1.0
 
 
 class TestUDR:

@@ -1,4 +1,4 @@
-"""Frozen pre-kernel learner implementations — the equivalence oracle.
+"""Frozen learner implementations — the equivalence oracles.
 
 These classes preserve, verbatim, the pure-Python inner loops the live
 learners used before the vectorized kernel layer (:mod:`repro.learners.kernels`)
@@ -14,6 +14,11 @@ consumers:
 * ``benchmarks/test_bench_kernels.py`` measures the kernel speedups against
   them while asserting score-identical outputs in the same run.
 
+``ReferenceMLPNetwork`` likewise keeps the per-layer MLP engine that trained
+every network before the flat parameter buffers of
+:class:`repro.learners.neural.MLPNetwork`; ``tests/learners/test_mlp_equivalence.py``
+asserts that both train bit-identical weights.
+
 Do not use these in production paths and do not "fix" them — their value is
 that they never change.
 """
@@ -26,7 +31,8 @@ from repro import obs
 from repro.learners.base import BaseClassifier, clone
 from repro.learners.ensemble import AdaBoostM1, Bagging, RandomSubSpace, _default_base
 from repro.learners.forest import RandomForest
-from repro.learners.lazy import IBk, KStar, LWL, _pairwise_sq_distances_exact
+from repro.learners.lazy import IBk, KStar, LWL
+from repro.learners.neural import MLPNetwork
 from repro.learners.regression import (
     DecisionTreeRegressor,
     KNeighborsRegressor,
@@ -49,7 +55,16 @@ __all__ = [
     "ReferenceLWL",
     "ReferenceDecisionTreeRegressor",
     "ReferenceKNeighborsRegressor",
+    "ReferenceMLPNetwork",
 ]
+
+
+def _pairwise_sq_distances_exact(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The lazy learners' distance helper before ``kernels.pairwise_sq_distances``."""
+    a2 = np.sum(A * A, axis=1)[:, None]
+    b2 = np.sum(B * B, axis=1)[None, :]
+    d2 = a2 + b2 - 2.0 * (A @ B.T)
+    return np.clip(d2, 0.0, None)
 
 
 def _class_distribution(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -506,3 +521,167 @@ class ReferenceKNeighborsRegressor(KNeighborsRegressor):
             else:
                 out[i] = float(self._y[neighbor_idx].mean())
         return out
+
+
+def _mlp_activate(z: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    if kind == "tanh":
+        return np.tanh(z)
+    if kind == "logistic":
+        return 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))
+    return z
+
+
+def _mlp_activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "relu":
+        return (a > 0).astype(np.float64)
+    if kind == "tanh":
+        return 1.0 - a * a
+    if kind == "logistic":
+        return a * (1.0 - a)
+    return np.ones_like(a)
+
+
+class ReferenceMLPNetwork(MLPNetwork):
+    """The per-layer MLP engine: one array and one update per layer and role."""
+
+    # -- initialisation ----------------------------------------------------------
+    def _init_weights(self, n_in: int, n_out: int, rng: np.random.Generator) -> None:
+        sizes = [n_in] + self.layer_sizes + [n_out]
+        self.weights_: list[np.ndarray] = []
+        self.biases_: list[np.ndarray] = []
+        for a, b in zip(sizes[:-1], sizes[1:]):
+            limit = np.sqrt(6.0 / (a + b))
+            self.weights_.append(rng.uniform(-limit, limit, size=(a, b)))
+            self.biases_.append(np.zeros(b))
+
+    # -- forward / backward --------------------------------------------------------
+    def _forward(self, X: np.ndarray) -> list[np.ndarray]:
+        activations = [X]
+        for i, (W, b) in enumerate(zip(self.weights_, self.biases_)):
+            z = activations[-1] @ W + b
+            last_layer = i == len(self.weights_) - 1
+            if last_layer:
+                if self.task == "classification":
+                    z = z - z.max(axis=1, keepdims=True)
+                    exp = np.exp(z)
+                    activations.append(exp / exp.sum(axis=1, keepdims=True))
+                else:
+                    activations.append(z)
+            else:
+                activations.append(_mlp_activate(z, self.activation))
+        return activations
+
+    def _backward(
+        self, activations: list[np.ndarray], Y: np.ndarray
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        n = Y.shape[0]
+        grads_W: list[np.ndarray] = [np.zeros_like(W) for W in self.weights_]
+        grads_b: list[np.ndarray] = [np.zeros_like(b) for b in self.biases_]
+        # Both softmax+cross-entropy and identity+MSE have the same output delta.
+        delta = (activations[-1] - Y) / n
+        for i in range(len(self.weights_) - 1, -1, -1):
+            grads_W[i] = activations[i].T @ delta + self.alpha * self.weights_[i]
+            grads_b[i] = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ self.weights_[i].T) * _mlp_activate_grad(
+                    activations[i], self.activation
+                )
+        return grads_W, grads_b
+
+    def _loss(self, X: np.ndarray, Y: np.ndarray) -> float:
+        output = self._forward(X)[-1]
+        if self.task == "classification":
+            return float(-np.mean(np.sum(Y * np.log(np.clip(output, 1e-12, None)), axis=1)))
+        return float(np.mean((output - Y) ** 2))
+
+    # -- training ------------------------------------------------------------------
+    def fit(self, X: np.ndarray, Y: np.ndarray) -> "ReferenceMLPNetwork":
+        X = np.asarray(X, dtype=np.float64)
+        Y = np.asarray(Y, dtype=np.float64)
+        if Y.ndim == 1:
+            Y = Y.reshape(-1, 1)
+        rng = np.random.default_rng(self.random_state)
+        self._init_weights(X.shape[1], Y.shape[1], rng)
+
+        n = X.shape[0]
+        use_validation = 0.0 < self.validation_fraction < 0.9 and n >= 20
+        if use_validation:
+            n_val = max(2, int(round(self.validation_fraction * n)))
+            permutation = rng.permutation(n)
+            val_idx, train_idx = permutation[:n_val], permutation[n_val:]
+            X_train, Y_train = X[train_idx], Y[train_idx]
+            X_val, Y_val = X[val_idx], Y[val_idx]
+        else:
+            X_train, Y_train = X, Y
+            X_val, Y_val = X, Y
+
+        velocity_W = [np.zeros_like(W) for W in self.weights_]
+        velocity_b = [np.zeros_like(b) for b in self.biases_]
+        m_W = [np.zeros_like(W) for W in self.weights_]
+        m_b = [np.zeros_like(b) for b in self.biases_]
+        v_W = [np.zeros_like(W) for W in self.weights_]
+        v_b = [np.zeros_like(b) for b in self.biases_]
+
+        best_val = np.inf
+        best_weights = None
+        patience, stale = 15, 0
+        adam_step = 0
+        base_lr = self.learning_rate_init
+        lr = base_lr
+        batch = max(2, min(int(self.batch_size), X_train.shape[0]))
+
+        for epoch in range(int(self.max_iter)):
+            if self.learning_rate == "invscaling":
+                lr = base_lr / (1.0 + epoch) ** 0.5
+            order = rng.permutation(X_train.shape[0])
+            for start in range(0, len(order), batch):
+                idx = order[start : start + batch]
+                activations = self._forward(X_train[idx])
+                grads_W, grads_b = self._backward(activations, Y_train[idx])
+                if self.solver == "adam":
+                    adam_step += 1
+                    for i in range(len(self.weights_)):
+                        m_W[i] = self.beta_1 * m_W[i] + (1 - self.beta_1) * grads_W[i]
+                        v_W[i] = self.beta_2 * v_W[i] + (1 - self.beta_2) * grads_W[i] ** 2
+                        m_b[i] = self.beta_1 * m_b[i] + (1 - self.beta_1) * grads_b[i]
+                        v_b[i] = self.beta_2 * v_b[i] + (1 - self.beta_2) * grads_b[i] ** 2
+                        m_hat_W = m_W[i] / (1 - self.beta_1**adam_step)
+                        v_hat_W = v_W[i] / (1 - self.beta_2**adam_step)
+                        m_hat_b = m_b[i] / (1 - self.beta_1**adam_step)
+                        v_hat_b = v_b[i] / (1 - self.beta_2**adam_step)
+                        self.weights_[i] -= lr * m_hat_W / (np.sqrt(v_hat_W) + 1e-8)
+                        self.biases_[i] -= lr * m_hat_b / (np.sqrt(v_hat_b) + 1e-8)
+                elif self.solver == "sgd":
+                    for i in range(len(self.weights_)):
+                        velocity_W[i] = self.momentum * velocity_W[i] - lr * grads_W[i]
+                        velocity_b[i] = self.momentum * velocity_b[i] - lr * grads_b[i]
+                        self.weights_[i] += velocity_W[i]
+                        self.biases_[i] += velocity_b[i]
+                else:  # "lbfgs" approximated by plain full-precision gradient steps
+                    for i in range(len(self.weights_)):
+                        self.weights_[i] -= lr * grads_W[i]
+                        self.biases_[i] -= lr * grads_b[i]
+
+            val_loss = self._loss(X_val, Y_val)
+            if val_loss < best_val - self.tol:
+                best_val = val_loss
+                best_weights = (
+                    [W.copy() for W in self.weights_],
+                    [b.copy() for b in self.biases_],
+                )
+                stale = 0
+            else:
+                stale += 1
+                if self.learning_rate == "adaptive" and stale % 5 == 0:
+                    lr = max(lr / 2.0, 1e-5)
+                if stale >= patience:
+                    break
+        if best_weights is not None:
+            self.weights_, self.biases_ = best_weights
+        self.best_validation_loss_ = float(best_val)
+        return self
+
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        return self._forward(np.asarray(X, dtype=np.float64))[-1]
