@@ -95,7 +95,6 @@ def test_bench_batched_dispatch_vs_single_call(benchmark, tmp_path):
         with RecommendationDispatcher(
             registry,
             max_batch_size=32,
-            max_wait_ms=2.0,
             suggest_configs=False,  # symmetric with the baseline (no config lookup)
         ) as dispatcher:
             start = time.monotonic()

@@ -66,7 +66,7 @@ def main() -> None:
 
     # 3. Boot the serving subsystem: batched dispatcher + async job queue
     #    behind a stdlib HTTP server on an ephemeral port.
-    service = RecommendationService(registry, max_wait_ms=1.0)
+    service = RecommendationService(registry)
     server, _ = serve_in_thread(service)
     base = f"http://127.0.0.1:{server.server_address[1]}"
     print(f"serving on {base}")

@@ -97,13 +97,14 @@ class Dataset:
         def framed(values) -> bytes:
             # Length-prefix every entry: a plain joiner would let crafted
             # values collide (['a\x1fb','c'] vs ['a','b\x1fc']), and values
-            # are arbitrary client strings on the serving path.
-            parts = []
-            for value in values:
-                encoded = str(value).encode("utf-8")
-                parts.append(len(encoded).to_bytes(4, "little"))
-                parts.append(encoded)
-            return b"".join(parts)
+            # are arbitrary client strings on the serving path.  Cells
+            # repeat, so each distinct string is framed once.
+            strings = list(map(str, values))
+            frames = {}
+            for string in set(strings):
+                encoded = string.encode("utf-8")
+                frames[string] = len(encoded).to_bytes(4, "little") + encoded
+            return b"".join(map(frames.__getitem__, strings))
 
         digest = blake2s(digest_size=16)
         digest.update(self.task.value.encode("utf-8"))

@@ -1,7 +1,14 @@
 """Task-instance meta-features (Table III of the paper)."""
 
 from .extractor import FeatureCache, FeatureCacheStats, FeatureExtractor, feature_cache
-from .features import FEATURE_DESCRIPTIONS, FEATURE_FUNCTIONS, FEATURE_NAMES, compute_feature
+from .features import (
+    FEATURE_DESCRIPTIONS,
+    FEATURE_FUNCTIONS,
+    FEATURE_NAMES,
+    Extraction,
+    compute_feature,
+    extract,
+)
 
 __all__ = [
     "FeatureExtractor",
@@ -11,5 +18,7 @@ __all__ = [
     "FEATURE_DESCRIPTIONS",
     "FEATURE_FUNCTIONS",
     "FEATURE_NAMES",
+    "Extraction",
+    "extract",
     "compute_feature",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datasets.dataset import Dataset
-from .features import FEATURE_FUNCTIONS, FEATURE_NAMES
+from .features import FEATURE_FUNCTIONS, FEATURE_NAMES, extract
 
 __all__ = ["FeatureExtractor", "FeatureCache", "FeatureCacheStats", "feature_cache"]
 
@@ -113,9 +113,10 @@ class FeatureCache:
                 else:
                     missing.append((position, name))
                     self.stats.misses += 1
-        for position, name in missing:
-            values[position] = float(FEATURE_FUNCTIONS[name](dataset))
         if missing:
+            computed = extract(dataset, [name for _, name in missing])
+            for (position, _), value in zip(missing, computed):
+                values[position] = value
             with self._lock:
                 for position, name in missing:
                     self._values[(fingerprint, name)] = values[position]
@@ -166,10 +167,7 @@ class FeatureExtractor:
         """
         if use_cache and feature_cache.enabled:
             return feature_cache.vector(dataset, self.feature_names)
-        return np.array(
-            [FEATURE_FUNCTIONS[name](dataset) for name in self.feature_names],
-            dtype=np.float64,
-        )
+        return np.array(extract(dataset, self.feature_names), dtype=np.float64)
 
     def raw_matrix(self, datasets: list[Dataset]) -> np.ndarray:
         if not datasets:

@@ -44,10 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080, help="0 binds an ephemeral port"
     )
     serve.add_argument("--batch-size", type=int, default=32, dest="batch_size")
-    serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0, dest="max_wait_ms",
-        help="micro-batch collection window",
-    )
     serve.add_argument("--fit-workers", type=int, default=1, dest="fit_workers")
     serve.add_argument(
         "--no-batching", action="store_true", help="serve each request inline"
@@ -155,7 +151,6 @@ def main(argv: list[str] | None = None) -> int:
             n_workers=args.workers,
             batching=not args.no_batching,
             max_batch_size=args.batch_size,
-            max_wait_ms=args.max_wait_ms,
             fit_workers=args.fit_workers,
             max_queue_depth=args.max_queue_depth,
             max_queue_delay_ms=args.max_queue_delay_ms,
@@ -180,7 +175,6 @@ def main(argv: list[str] | None = None) -> int:
         ModelRegistry(registry_root),
         batching=not args.no_batching,
         max_batch_size=args.batch_size,
-        max_wait_ms=args.max_wait_ms,
         fit_workers=args.fit_workers,
         max_queue_depth=args.max_queue_depth,
         max_queue_delay_ms=args.max_queue_delay_ms,

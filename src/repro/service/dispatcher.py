@@ -6,11 +6,13 @@ Request-time work for one ``recommend`` call is (1) meta-feature extraction,
 concurrency:
 
 * **Micro-batching.**  Caller threads enqueue requests and block on an
-  event; a single serve thread drains the queue (up to ``max_batch_size``
-  requests or ``max_wait_ms``, whichever first), groups the batch by
+  event; a single serve thread takes the first queued request plus whatever
+  else is already queued (up to ``max_batch_size``), groups the batch by
   ``(model, version)`` snapshot, and runs ONE
   :meth:`~repro.core.architecture_search.DecisionModel.scores_matrix`
-  forward pass per group instead of N scalar calls.
+  forward pass per group instead of N scalar calls.  It never waits for a
+  batch to fill: an idle dispatcher answers a lone request at once, and a
+  busy one batches every request that arrived while the previous batch ran.
 * **Meta-feature memoization.**  Feature extraction inside the batch goes
   through the process-wide fingerprint-keyed
   :data:`~repro.metafeatures.extractor.feature_cache`, so repeat queries for
@@ -33,7 +35,9 @@ concurrency:
   collapsing into multi-second queues.
 
 Errors are contained per request: a bad dataset or unknown model fails that
-caller only, never the serve loop.
+caller only, never the serve loop.  :class:`DispatcherStats` counts the
+algorithm served on every answered request (``picks``), so a decision model
+that has collapsed to one answer shows in ``/metrics``.
 """
 
 from __future__ import annotations
@@ -115,6 +119,7 @@ class DispatcherStats:
     max_queue_depth_seen: int = 0
     forward_passes: int = 0
     batch_sizes: dict[int, int] = field(default_factory=dict)
+    picks: dict[str, int] = field(default_factory=dict)
 
     @property
     def mean_batch_size(self) -> float:
@@ -125,6 +130,9 @@ class DispatcherStats:
         self.n_batched_requests += size
         self.largest_batch = max(self.largest_batch, size)
         self.batch_sizes[size] = self.batch_sizes.get(size, 0) + 1
+
+    def record_pick(self, algorithm: str) -> None:
+        self.picks[algorithm] = self.picks.get(algorithm, 0) + 1
 
     def as_dict(self) -> dict:
         return {
@@ -140,6 +148,7 @@ class DispatcherStats:
             "batch_size_histogram": {
                 str(size): count for size, count in sorted(self.batch_sizes.items())
             },
+            "picks": dict(sorted(self.picks.items())),
             "feature_cache": feature_cache.stats.as_dict(),
         }
 
@@ -180,7 +189,6 @@ class RecommendationDispatcher:
         self,
         registry: ModelRegistry,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         batching: bool = True,
         suggest_configs: bool = True,
         cv: int = 5,
@@ -196,7 +204,6 @@ class RecommendationDispatcher:
             raise ValueError("max_queue_depth must be >= 1 (or None to disable)")
         self.registry = registry
         self.max_batch_size = int(max_batch_size)
-        self.max_wait = max(0.0, float(max_wait_ms)) / 1000.0
         self.batching = bool(batching)
         self.max_queue_depth = None if max_queue_depth is None else int(max_queue_depth)
         self.max_queue_delay = (
@@ -334,7 +341,8 @@ class RecommendationDispatcher:
         """Roughly how long until the current backlog drains (clamped)."""
         depth = max(self._pending_count, 1)
         batches = depth / max(self.max_batch_size, 1)
-        return min(max(batches * max(self.max_wait, 0.005) * 2.0, 0.05), 5.0)
+        # At least 5 ms a batch, doubled for headroom.
+        return min(max(batches * 0.005 * 2.0, 0.05), 5.0)
 
     @property
     def queue_depth(self) -> int:
@@ -366,14 +374,10 @@ class RecommendationDispatcher:
             if item is _SHUTDOWN:
                 return
             batch = [item]
-            deadline = time.monotonic() + self.max_wait
             stop = False
             while len(batch) < self.max_batch_size:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
                 try:
-                    nxt = self._queue.get(timeout=remaining)
+                    nxt = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if nxt is _SHUTDOWN:
@@ -477,6 +481,8 @@ class RecommendationDispatcher:
                 obs.error_event("dispatcher.build", exc)
                 self._fail([pending], exc)
                 continue
+            with self._stats_lock:
+                self.stats.record_pick(pending.result.algorithm)
             self._release([pending])
             pending.event.set()
 
@@ -493,7 +499,7 @@ class RecommendationDispatcher:
         algorithm = first_supported_algorithm(ranking, catalogue)
         config_source = "default"
         tuned_score: float | None = None
-        config = catalogue.get(algorithm).default_config()
+        config = None
         if self.suggest_configs and servable.model.store is not None:
             responder = servable.model.responder(
                 cv=self.cv,
@@ -505,6 +511,8 @@ class RecommendationDispatcher:
             if tuned:
                 config, tuned_score = dict(tuned[0][0]), float(tuned[0][1])
                 config_source = "tuned-store"
+        if config is None:
+            config = catalogue.get(algorithm).default_config()
         return Recommendation(
             dataset=pending.dataset.name,
             fingerprint=pending.dataset.fingerprint,

@@ -125,18 +125,11 @@ def dataset_from_json(payload: Any) -> Dataset:
     n = len(target)
     numeric = payload.get("numeric") or []
     categorical = payload.get("categorical") or []
-    if numeric:
-        # JSON has no NaN literal; clients send missing numeric cells as
-        # null.  Map them to NaN so messy datasets are first-class on the
-        # wire (pipeline-serving models impute them; bare models crash-score
-        # honestly).
-        numeric = [
-            [np.nan if value is None else value for value in row]
-            if isinstance(row, list)
-            else row
-            for row in numeric
-        ]
     try:
+        # JSON has no NaN literal; clients send missing numeric cells as
+        # null, which the float64 conversion turns into NaN, so messy
+        # datasets are first-class on the wire (pipeline-serving models
+        # impute them; bare models crash-score honestly).
         numeric_arr = (
             np.asarray(numeric, dtype=np.float64) if numeric else np.zeros((n, 0))
         )
@@ -170,7 +163,6 @@ class RecommendationService:
         registry: ModelRegistry | str | Path,
         batching: bool = True,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         fit_workers: int = 1,
         cv: int = 5,
         tuning_max_records: int | None = 400,
@@ -188,7 +180,6 @@ class RecommendationService:
             self.registry,
             batching=batching,
             max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
             cv=cv,
             tuning_max_records=tuning_max_records,
             random_state=random_state,

@@ -119,7 +119,6 @@ class ServicePool:
         n_workers: int = 2,
         batching: bool = True,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         fit_workers: int = 1,
         max_queue_depth: int | None = None,
         max_queue_delay_ms: float | None = None,
@@ -139,7 +138,6 @@ class ServicePool:
         self.service_options = {
             "batching": batching,
             "max_batch_size": max_batch_size,
-            "max_wait_ms": max_wait_ms,
             "fit_workers": fit_workers,
             "max_queue_depth": max_queue_depth,
             "max_queue_delay_ms": max_queue_delay_ms,

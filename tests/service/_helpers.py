@@ -4,9 +4,12 @@
 training: an MLP with zero weights and a biased output layer always ranks a
 chosen algorithm first.  That keeps registry/dispatcher/HTTP tests fast and
 — crucially for the hot-swap tests — makes every model's behaviour exactly
-predictable, so a torn old/new mix is detectable.
+predictable, so a torn old/new mix is detectable.  ``Blocker`` holds the
+serve loop inside a forward pass, for tests that need exact queue states.
 """
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -66,3 +69,35 @@ def dataset_payload(dataset: Dataset) -> dict:
             [str(v) for v in row] for row in dataset.categorical
         ]
     return payload
+
+
+class Blocker:
+    """Patch ``scores_many`` so the first ``n_blocked`` calls wait on a gate.
+
+    The registry's LRU serves every resolve from the same AutoModel
+    instance, so the patch reaches the dispatcher's serve thread: while the
+    gate is shut the serve loop is provably stuck inside a forward pass, and
+    what queues behind it is exact — no sleeps, no timing races.
+    """
+
+    def __init__(self, decision_model, n_blocked: int = 1):
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+        self._original = decision_model.scores_many
+        self._decision_model = decision_model
+        self._remaining = n_blocked
+        self._lock = threading.Lock()
+        decision_model.scores_many = self._wrapped
+
+    def _wrapped(self, datasets):
+        with self._lock:
+            blocked = self._remaining > 0
+            self._remaining -= 1
+        if blocked:
+            self.entered.set()
+            assert self.gate.wait(timeout=30), "test gate never opened"
+        return self._original(datasets)
+
+    def restore(self):
+        self.gate.set()
+        self._decision_model.scores_many = self._original

@@ -23,33 +23,7 @@ from repro.service import (
     serve_in_thread,
 )
 
-from _helpers import dataset_payload
-
-
-class _Blocker:
-    """Patch ``scores_many`` so the first ``n_blocked`` calls wait on a gate."""
-
-    def __init__(self, decision_model, n_blocked: int = 1):
-        self.gate = threading.Event()
-        self.entered = threading.Event()
-        self._original = decision_model.scores_many
-        self._decision_model = decision_model
-        self._remaining = n_blocked
-        self._lock = threading.Lock()
-        decision_model.scores_many = self._wrapped
-
-    def _wrapped(self, datasets):
-        with self._lock:
-            blocked = self._remaining > 0
-            self._remaining -= 1
-        if blocked:
-            self.entered.set()
-            assert self.gate.wait(timeout=30), "test gate never opened"
-        return self._original(datasets)
-
-    def restore(self):
-        self.gate.set()
-        self._decision_model.scores_many = self._original
+from _helpers import Blocker, dataset_payload
 
 
 @pytest.fixture
@@ -60,7 +34,7 @@ def served(registry, clf_model):
 
 @pytest.fixture
 def blocker(served):
-    block = _Blocker(served.resolve("clf").model.decision_model)
+    block = Blocker(served.resolve("clf").model.decision_model)
     yield block
     block.restore()
 
@@ -81,7 +55,7 @@ class TestDispatcherAdmission:
         self, served, blocker, clf_dataset
     ):
         with RecommendationDispatcher(
-            served, max_queue_depth=1, max_wait_ms=1.0
+            served, max_queue_depth=1
         ) as dispatcher:
             first_result = {}
 
@@ -125,7 +99,7 @@ class TestDispatcherAdmission:
 
     def test_stale_requests_shed_by_age(self, served, blocker, clf_dataset):
         with RecommendationDispatcher(
-            served, max_queue_depth=8, max_wait_ms=1.0, max_queue_delay_ms=50.0
+            served, max_queue_depth=8, max_queue_delay_ms=50.0
         ) as dispatcher:
             results, errors = [], []
 
@@ -170,7 +144,7 @@ class TestDispatcherAdmission:
 class TestHTTPOverload:
     @pytest.fixture
     def overloaded_service(self, served):
-        service = RecommendationService(served, max_queue_depth=1, max_wait_ms=1.0)
+        service = RecommendationService(served, max_queue_depth=1)
         server, _ = serve_in_thread(service)
         yield service, server.server_address[1]
         server.shutdown()
@@ -178,12 +152,15 @@ class TestHTTPOverload:
         service.close()
 
     def _post(self, port, path, body, timeout=30):
+        """POST ``body``; the status of a 2xx answer (the response is closed),
+        while an error status raises ``HTTPError`` for the caller to close."""
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}{path}",
             data=json.dumps(body).encode("utf-8"),
             headers={"Content-Type": "application/json"},
         )
-        return urllib.request.urlopen(request, timeout=timeout)
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status
 
     def test_429_with_retry_after_header(
         self, overloaded_service, blocker, clf_dataset
@@ -193,17 +170,18 @@ class TestHTTPOverload:
 
         first_status = []
         first = threading.Thread(
-            target=lambda: first_status.append(self._post(port, "/recommend", body).status)
+            target=lambda: first_status.append(self._post(port, "/recommend", body))
         )
         first.start()
         assert blocker.entered.wait(timeout=10)
 
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(port, "/recommend", body)
-        assert excinfo.value.code == 429
-        retry_after = excinfo.value.headers["Retry-After"]
-        assert retry_after is not None and float(retry_after) > 0
-        assert "overloaded" in json.loads(excinfo.value.read())["error"]
+        with excinfo.value as error:
+            assert error.code == 429
+            retry_after = error.headers["Retry-After"]
+            assert retry_after is not None and float(retry_after) > 0
+            assert "overloaded" in json.loads(error.read())["error"]
 
         blocker.gate.set()
         first.join(timeout=10)
@@ -218,7 +196,7 @@ class TestHTTPOverload:
     def roomy_service(self, served):
         # Depth 4: a waiting request is ADMITTED (not shed) so its own
         # dispatcher timeout is what expires — the 503 path, not the 429 one.
-        service = RecommendationService(served, max_queue_depth=4, max_wait_ms=1.0)
+        service = RecommendationService(served, max_queue_depth=4)
         server, _ = serve_in_thread(service)
         yield service, server.server_address[1]
         server.shutdown()
@@ -239,7 +217,7 @@ class TestHTTPOverload:
                 self._post(
                     port, "/recommend",
                     {"dataset": dataset_payload(clf_dataset), "model": "clf"},
-                ).status
+                )
             )
         )
         occupier.start()
@@ -247,8 +225,9 @@ class TestHTTPOverload:
 
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(port, "/recommend", body)
-        assert excinfo.value.code == 503
-        assert excinfo.value.headers["Retry-After"] is not None
+        with excinfo.value as error:
+            assert error.code == 503
+            assert error.headers["Retry-After"] is not None
 
         blocker.gate.set()
         occupier.join(timeout=10)

@@ -72,7 +72,7 @@ class TestServiceCLI:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.service", "serve",
-                "--registry", str(root), "--port", "0", "--max-wait-ms", "1",
+                "--registry", str(root), "--port", "0",
             ],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_env(),
         )
@@ -115,7 +115,7 @@ class TestServiceCLI:
             [
                 sys.executable, "-m", "repro.service", "serve",
                 "--registry", str(root), "--port", "0", "--workers", "2",
-                "--max-queue-depth", "64", "--max-wait-ms", "1",
+                "--max-queue-depth", "64",
             ],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_env(),
         )

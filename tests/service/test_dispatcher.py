@@ -1,6 +1,15 @@
-"""RecommendationDispatcher: batching, correctness, concurrency, hot-swap."""
+"""RecommendationDispatcher: batching, correctness, concurrency, hot-swap.
 
+Batching is checked deterministically: :class:`_helpers.Blocker` holds the
+serve loop inside a forward pass while requests queue behind it, so what the
+next batch holds does not depend on thread timing.
+"""
+
+import os
+import queue
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -8,7 +17,7 @@ import pytest
 from repro.metafeatures.extractor import feature_cache
 from repro.service import ModelRegistry, RecommendationDispatcher
 
-from _helpers import constant_automodel
+from _helpers import Blocker, constant_automodel
 
 
 @pytest.fixture
@@ -16,6 +25,33 @@ def served_registry(registry, clf_model, reg_model) -> ModelRegistry:
     registry.publish(clf_model, "clf")
     registry.publish(reg_model, "reg")
     return registry
+
+
+@pytest.fixture
+def blocker(served_registry):
+    block = Blocker(served_registry.resolve("clf").model.decision_model)
+    yield block
+    block.restore()
+
+
+def _wait_until(condition, timeout: float = 10.0) -> None:
+    """Poll ``condition`` until it holds (it must, well inside ``timeout``)."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class _RecordingQueue(queue.Queue):
+    """A dispatcher queue that records every ``get(block, timeout)`` call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gets: list[tuple[bool, float | None]] = []
+
+    def get(self, block=True, timeout=None):
+        self.gets.append((block, timeout))
+        return super().get(block, timeout)
 
 
 class TestSingleRequests:
@@ -32,7 +68,7 @@ class TestSingleRequests:
         assert set(rec.scores) == set(clf_model.decision_model.labels)
 
     def test_batched_recommendation_same_answer(self, served_registry, clf_dataset):
-        with RecommendationDispatcher(served_registry, max_wait_ms=1.0) as dispatcher:
+        with RecommendationDispatcher(served_registry) as dispatcher:
             rec = dispatcher.recommend(clf_dataset, model="clf")
         assert rec.algorithm == "J48"
 
@@ -95,15 +131,24 @@ class TestBatching:
             assert dispatcher.stats.forward_passes == 2  # one per model group
         assert [p.result.algorithm for p in batch] == ["J48", "Ridge", "J48"]
 
-    def test_concurrent_requests_get_micro_batched(self, served_registry, clf_dataset):
+    def test_concurrent_requests_get_micro_batched(
+        self, served_registry, blocker, clf_dataset
+    ):
         datasets = [clf_dataset.subsample(30 + i, random_state=i) for i in range(24)]
-        with RecommendationDispatcher(
-            served_registry, max_batch_size=32, max_wait_ms=25.0
-        ) as dispatcher:
+        with RecommendationDispatcher(served_registry, max_batch_size=32) as dispatcher:
             with ThreadPoolExecutor(max_workers=24) as pool:
-                recs = list(
-                    pool.map(lambda d: dispatcher.recommend(d, model="clf"), datasets)
+                futures = [
+                    pool.submit(dispatcher.recommend, d, model="clf") for d in datasets
+                ]
+                # The first batch is stuck in its forward pass (it counted
+                # itself before entering it); the rest of the burst queues.
+                assert blocker.entered.wait(timeout=10)
+                _wait_until(
+                    lambda: dispatcher._queue.qsize() + dispatcher.stats.n_batched_requests
+                    == 24
                 )
+                blocker.gate.set()
+                recs = [future.result(timeout=30) for future in futures]
             stats = dispatcher.stats
         assert all(r.algorithm == "J48" for r in recs)
         assert stats.n_requests == 24
@@ -111,6 +156,63 @@ class TestBatching:
         # than requests (micro-batching), with at least one real batch.
         assert stats.largest_batch >= 4
         assert stats.forward_passes < 24
+
+    @pytest.mark.parametrize("n_queued", [2, 7, 16])
+    def test_requests_queued_behind_a_batch_become_one_batch(
+        self, served_registry, blocker, clf_dataset, n_queued
+    ):
+        with RecommendationDispatcher(served_registry, max_batch_size=16) as dispatcher:
+            with ThreadPoolExecutor(max_workers=n_queued + 1) as pool:
+                first = pool.submit(dispatcher.recommend, clf_dataset, model="clf")
+                assert blocker.entered.wait(timeout=10)
+                queued = [
+                    pool.submit(dispatcher.recommend, clf_dataset, model="clf")
+                    for _ in range(n_queued)
+                ]
+                _wait_until(lambda: dispatcher._queue.qsize() == n_queued)
+                assert dispatcher.stats.forward_passes == 0
+                blocker.gate.set()
+                recs = [f.result(timeout=30) for f in [first, *queued]]
+            stats = dispatcher.stats
+        assert [rec.batch_size for rec in recs] == [1] + [n_queued] * n_queued
+        assert stats.batch_sizes == {1: 1, n_queued: 1}
+        assert stats.forward_passes == 2
+
+    def test_batch_is_capped_at_max_batch_size(
+        self, served_registry, blocker, clf_dataset
+    ):
+        with RecommendationDispatcher(served_registry, max_batch_size=4) as dispatcher:
+            with ThreadPoolExecutor(max_workers=11) as pool:
+                first = pool.submit(dispatcher.recommend, clf_dataset, model="clf")
+                assert blocker.entered.wait(timeout=10)
+                queued = [
+                    pool.submit(dispatcher.recommend, clf_dataset, model="clf")
+                    for _ in range(10)
+                ]
+                _wait_until(lambda: dispatcher._queue.qsize() == 10)
+                blocker.gate.set()
+                for future in [first, *queued]:
+                    future.result(timeout=30)
+            stats = dispatcher.stats
+        assert stats.batch_sizes == {1: 1, 4: 2, 2: 1}
+        assert stats.forward_passes == 4
+
+    def test_lone_request_waits_on_no_timer(
+        self, served_registry, clf_dataset, monkeypatch
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(queue, "Queue", _RecordingQueue)
+            dispatcher = RecommendationDispatcher(served_registry)
+        with dispatcher:
+            gets = dispatcher._queue.gets
+            rec = dispatcher.recommend(clf_dataset, model="clf")
+            # The serve loop is back at its blocking get for the next request.
+            _wait_until(lambda: len(gets) >= 3)
+        assert rec.algorithm == "J48" and rec.batch_size == 1
+        # A blocking get for the request, a non-blocking look for company,
+        # then a blocking get again: no timed wait anywhere.
+        assert gets[:3] == [(True, None), (False, None), (True, None)]
+        assert all(timeout is None for _, timeout in gets)
 
     def test_feature_cache_serves_repeat_queries(self, served_registry, clf_dataset):
         feature_cache.clear()
@@ -121,6 +223,80 @@ class TestBatching:
             dispatcher.recommend(clf_dataset, model="clf")
         assert feature_cache.stats.hits >= hits_before + 5
         assert dispatcher.stats.as_dict()["feature_cache"]["hits"] > 0
+
+
+class TestPicks:
+    def test_served_requests_sum_to_picks(
+        self, served_registry, clf_dataset, reg_dataset
+    ):
+        with RecommendationDispatcher(served_registry) as dispatcher:
+            for _ in range(5):
+                dispatcher.recommend(clf_dataset, model="clf")
+            for _ in range(3):
+                dispatcher.recommend(reg_dataset, model="reg")
+            dispatcher.recommend_many([clf_dataset] * 4, model="clf")
+            with pytest.raises(ValueError, match="serves classification"):
+                dispatcher.recommend(reg_dataset, model="clf")  # failed: no pick
+            snapshot = dispatcher.stats_snapshot()
+        assert snapshot["picks"] == {"J48": 9, "Ridge": 3}
+        assert snapshot["n_requests"] == 13 and snapshot["n_errors"] == 1
+        assert sum(snapshot["picks"].values()) == 12
+
+    def test_oversubscribed_clients_are_all_answered(
+        self, served_registry, clf_dataset, reg_dataset
+    ):
+        """More client threads than CPUs, with the GIL switching as often as
+        it can: every request is answered once, picks add up to requests and
+        no admitted request is left counted as pending."""
+        cpus = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
+        n_clients, per_client = 2 * cpus + 2, 20
+        answered: list[str] = []
+        errors: list[Exception] = []
+        lock = threading.Lock()
+
+        def client(dispatcher, i):
+            try:
+                for j in range(per_client):
+                    dataset, model = (
+                        (clf_dataset, "clf") if (i + j) % 2 else (reg_dataset, "reg")
+                    )
+                    rec = dispatcher.recommend(dataset, model=model, timeout=30)
+                    with lock:
+                        answered.append(rec.algorithm)
+            except Exception as exc:  # noqa: BLE001 — collected for assertions
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with RecommendationDispatcher(served_registry, max_batch_size=8) as dispatcher:
+                threads = [
+                    threading.Thread(target=client, args=(dispatcher, i), daemon=True)
+                    for i in range(n_clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 60.0
+                for thread in threads:
+                    thread.join(timeout=max(deadline - time.monotonic(), 0.0))
+                assert not any(thread.is_alive() for thread in threads)
+                snapshot = dispatcher.stats_snapshot()
+        finally:
+            sys.setswitchinterval(previous)
+        total = n_clients * per_client
+        assert not errors
+        assert len(answered) == total
+        assert snapshot["n_requests"] == total
+        assert snapshot["picks"] == {
+            "J48": answered.count("J48"),
+            "Ridge": answered.count("Ridge"),
+        }
+        assert sum(snapshot["picks"].values()) == total
+        assert snapshot["queue_depth"] == 0
 
 
 class TestHotSwap:
@@ -142,7 +318,7 @@ class TestHotSwap:
         swapped = threading.Event()
 
         with RecommendationDispatcher(
-            served_registry, max_batch_size=8, max_wait_ms=2.0
+            served_registry, max_batch_size=8
         ) as dispatcher:
             def hammer():
                 try:
@@ -263,7 +439,7 @@ class TestServeLoopSurvival:
                 raise RuntimeError("boom in the serve loop")
 
         with RecommendationDispatcher(
-            served_registry, max_batch_size=4, max_wait_ms=1.0
+            served_registry, max_batch_size=4
         ) as dispatcher:
             with pytest.raises(Exception):
                 dispatcher.recommend(Bomb(), model="clf", timeout=10.0)

@@ -65,7 +65,7 @@ def serving(tmp_path_factory, trained_clf, trained_reg):
     registry.publish(trained_clf, "clf")          # v0001, promoted
     registry.publish(trained_clf, "clf")          # v0002, standby for hot-swap
     registry.publish(trained_reg, "reg")
-    service = RecommendationService(registry, max_batch_size=16, max_wait_ms=2.0)
+    service = RecommendationService(registry, max_batch_size=16)
     server, _thread = serve_in_thread(service)
     port = server.server_address[1]
     yield registry, service, port
@@ -463,7 +463,9 @@ class TestKeepAliveAndMetrics:
 
     def test_metrics_endpoint_process_scope(self, serving):
         _, service, port = serving
-        _post(port, "/recommend", {"dataset": dataset_payload(_clf_query(90)), "model": "clf"})
+        rec = _post(
+            port, "/recommend", {"dataset": dataset_payload(_clf_query(90)), "model": "clf"}
+        )
         metrics = _get(port, "/metrics")
         assert metrics["scope"] == "process"
         assert len(metrics["workers"]) == 1
@@ -477,6 +479,9 @@ class TestKeepAliveAndMetrics:
         # The lower tiers ride along: dispatcher, registry and job queues.
         assert metrics["dispatcher"]["n_requests"] >= 1
         assert "batch_size_histogram" in metrics["dispatcher"]
+        picks = metrics["dispatcher"]["picks"]
+        assert picks[rec["algorithm"]] >= 1
+        assert sum(picks.values()) <= metrics["dispatcher"]["n_requests"]
         assert metrics["registry"]["models"] >= 1
         assert "n_submitted" in metrics["jobs"]
         # /healthz carries the live queue gauges too.

@@ -284,6 +284,14 @@ class TestAggregation:
         assert merged["dispatcher"]["mean_batch_size"] == pytest.approx(4.67, abs=0.01)
         assert merged["registry"]["models"] == 2  # max, not 4
 
+    def test_picks_sum_per_algorithm(self):
+        a = _worker_payload("w0", 4, [1.0])
+        b = _worker_payload("w1", 6, [1.0])
+        a["dispatcher"]["picks"] = {"IBk": 1, "J48": 3}
+        b["dispatcher"]["picks"] = {"J48": 2, "NaiveBayes": 4}
+        merged = aggregate_worker_payloads([a, b])
+        assert merged["dispatcher"]["picks"] == {"IBk": 1, "J48": 5, "NaiveBayes": 4}
+
     def test_shed_counts_aggregate(self):
         merged = aggregate_worker_payloads(
             [_worker_payload("w0", 10, [1.0], n_shed=3), _worker_payload("w1", 10, [1.0])]

@@ -216,6 +216,41 @@ class TestFeatureCache:
         b = Dataset("b", numeric, np.array([["x", "y\x1fz"], ["x", "y\x1fz"]], dtype=object), target)
         assert a.fingerprint != b.fingerprint
 
+    @pytest.mark.parametrize(
+        "categorical, target",
+        [
+            ([["a", "b"], ["a", "c"], ["b", "b"]], ["x", "y", "x"]),
+            ([["é", "a\x00"], ["\x00", ""], ["a\x1fb", "é"]], ["s", "s", "t"]),
+            ([[1, "1"], [1.0, True], [None, float("nan")]], [1, "1", 1.0]),
+            ([["a", 2], ["a", 2], ["b", 3]], [True, False, True]),
+        ],
+        ids=["strings", "unicode-nul-empty", "mixed-equal-values", "mixed-types"],
+    )
+    def test_fingerprint_frames_every_cell(self, categorical, target):
+        """Each distinct cell string is framed once; the digest is the one a
+        per-cell framing of every value gives."""
+        from hashlib import blake2s
+
+        def framed(values):
+            parts = []
+            for value in values:
+                encoded = str(value).encode("utf-8")
+                parts += [len(encoded).to_bytes(4, "little"), encoded]
+            return b"".join(parts)
+
+        dataset = Dataset(
+            "d", np.ones((3, 1)), np.array(categorical, dtype=object),
+            np.array(target, dtype=object),
+        )
+        digest = blake2s(digest_size=16)
+        digest.update(b"classification")
+        digest.update(repr(dataset.numeric.shape).encode("utf-8"))
+        digest.update(dataset.numeric.tobytes())
+        digest.update(repr(dataset.categorical.shape).encode("utf-8"))
+        digest.update(framed(dataset.categorical.ravel()))
+        digest.update(framed(dataset.target))
+        assert dataset.fingerprint == digest.hexdigest()
+
     def test_overlapping_disabled_sections_compose(self, mixed_dataset):
         with feature_cache.disabled():
             with feature_cache.disabled():
