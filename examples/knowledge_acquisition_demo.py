@@ -57,11 +57,13 @@ def main() -> None:
 
     print("\noptimal-algorithm candidates (OACs):", network.candidates)
     print("\ndirect performance relations (winner -> loser, weight = reliability):")
-    for winner, loser, data in network.direct.edges(data=True):
-        print(f"  {winner:13s} -> {loser:13s} (weight {data['weight']})")
+    for winner, losers in network.direct.items():
+        for loser, weight in losers.items():
+            print(f"  {winner:13s} -> {loser:13s} (weight {weight})")
     print("\nresolved information network after BFS closure + conflict resolution:")
-    for winner, loser, data in network.resolved.edges(data=True):
-        print(f"  {winner:13s} -> {loser:13s} (weight {data['weight']})")
+    for winner, losers in network.resolved.items():
+        for loser, weight in losers.items():
+            print(f"  {winner:13s} -> {loser:13s} (weight {weight})")
     print("\nin-degree-0 candidates:", network.sources())
     print("comparison experience per candidate:", network.comparison_experience)
 

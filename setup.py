@@ -1,8 +1,9 @@
 """Setuptools entry point.
 
-Kept alongside ``pyproject.toml`` so that editable installs work in offline
-environments that lack the ``wheel`` package (pip then falls back to the
-legacy ``setup.py develop`` code path).
+The project's metadata and dependencies live in ``pyproject.toml``.  This
+file stays so that an offline environment without the ``wheel`` package,
+where pip cannot build an editable install, can still install the project
+with ``python setup.py develop``.
 """
 
 from setuptools import setup

@@ -3,7 +3,6 @@
 from .autoweka import (
     ALGORITHM_KEY,
     AutoWekaBaseline,
-    CASHBaselineSolution,
     joint_space,
     split_joint_config,
 )
@@ -12,7 +11,6 @@ from .random_cash import RandomCASH, SingleBestBaseline
 __all__ = [
     "ALGORITHM_KEY",
     "AutoWekaBaseline",
-    "CASHBaselineSolution",
     "joint_space",
     "split_joint_config",
     "RandomCASH",

@@ -17,16 +17,16 @@ hyperparameters.  This module reproduces that formulation over our catalogue:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from .. import obs
+from ..core.udr import CASHSolution
 from ..datasets.dataset import Dataset
 from ..datasets.task import resolve_task
 from ..execution import EvaluationEngine, estimator_engine
-from ..hpo.base import Budget, HPOProblem, OptimizationResult
+from ..hpo.base import Budget, HPOProblem
 from ..hpo.bayesian import BayesianOptimization
 from ..hpo.random_search import RandomSearch
 from ..hpo.space import AndCondition, CategoricalParam, Condition, ConfigSpace
@@ -41,7 +41,6 @@ __all__ = [
     "split_joint_config",
     "JointBuilder",
     "AutoWekaBaseline",
-    "CASHBaselineSolution",
 ]
 
 ALGORITHM_KEY = "__algorithm__"
@@ -108,35 +107,6 @@ class JointBuilder:
     def __call__(self, config: dict[str, Any]) -> BaseClassifier:
         algorithm, params = split_joint_config(config)
         return self.registry.build(algorithm, params)
-
-
-@dataclass
-class CASHBaselineSolution:
-    """Result of a baseline CASH run (same shape as Auto-Model's solution)."""
-
-    algorithm: str
-    config: dict[str, Any]
-    cv_score: float
-    optimizer: str
-    n_evaluations: int
-    elapsed: float
-    estimator: BaseClassifier | None = None
-    history: OptimizationResult | None = None
-    engine_stats: dict = field(default_factory=dict)
-
-    def summary(self) -> dict:
-        out = {
-            "algorithm": self.algorithm,
-            "config": self.config,
-            "cv_score": round(self.cv_score, 4),
-            "optimizer": self.optimizer,
-            "n_evaluations": self.n_evaluations,
-            "elapsed_seconds": round(self.elapsed, 3),
-        }
-        if self.engine_stats:
-            out["cache_hit_rate"] = self.engine_stats.get("cache_hit_rate")
-            out["evals_per_second"] = self.engine_stats.get("evals_per_second")
-        return out
 
 
 class AutoWekaBaseline:
@@ -211,7 +181,7 @@ class AutoWekaBaseline:
         time_limit: float | None = 30.0,
         max_evaluations: int | None = None,
         fit_final_estimator: bool = False,
-    ) -> CASHBaselineSolution:
+    ) -> CASHSolution:
         """Search the joint space on ``dataset`` under the given budget."""
         start = time.monotonic()
         space = joint_space(self.registry)
@@ -242,7 +212,7 @@ class AutoWekaBaseline:
             except Exception as exc:  # noqa: BLE001 — a failed final fit returns no estimator
                 obs.error_event("autoweka.final_fit", exc)
                 estimator = None
-        return CASHBaselineSolution(
+        return CASHSolution(
             algorithm=algorithm,
             config=params,
             cv_score=best_score,

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 
+from ..core.udr import CASHSolution
 from ..datasets.dataset import Dataset
 from ..datasets.task import resolve_task
 from ..evaluation.performance import PerformanceTable
@@ -15,7 +16,7 @@ from ..hpo.genetic import GeneticAlgorithm
 from ..learners.pipeline import training_matrix
 from ..learners.registry import AlgorithmRegistry
 from ..learners.regression_registry import registry_for_task
-from .autoweka import AutoWekaBaseline, CASHBaselineSolution
+from .autoweka import AutoWekaBaseline
 
 __all__ = ["RandomCASH", "SingleBestBaseline"]
 
@@ -87,7 +88,7 @@ class SingleBestBaseline:
         dataset: Dataset,
         time_limit: float | None = 30.0,
         max_evaluations: int | None = 20,
-    ) -> CASHBaselineSolution:
+    ) -> CASHSolution:
         """Tune the single globally-best algorithm on ``dataset``."""
         start = time.monotonic()
         spec = self.registry.get(self.algorithm)
@@ -119,7 +120,7 @@ class SingleBestBaseline:
             result.best_config if np.isfinite(result.best_score) else spec.default_config()
         )
         score = float(result.best_score) if np.isfinite(result.best_score) else 0.0
-        return CASHBaselineSolution(
+        return CASHSolution(
             algorithm=self.algorithm,
             config=config,
             cv_score=score,

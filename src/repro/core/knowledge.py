@@ -17,13 +17,15 @@ Given ``InfAll`` (all experiences) the algorithm derives, per task instance
 
 The output is the paper's ``CRelations``: one :class:`KnowledgePair` per
 retained instance.
+
+Each graph is a plain adjacency dict, ``winner -> loser -> reliability
+weight``, with a key for every candidate (in sorted order): the graphs hold
+at most one node per catalogue algorithm, so no graph library is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from ..corpus.experience import Experience, ExperienceSet
 from ..corpus.paper import reliability_index
@@ -38,22 +40,20 @@ class InformationNetwork:
 
     Exposed mainly for inspection, testing and the knowledge-ablation bench:
     ``direct`` holds the graph before BFS closure and conflict resolution,
-    ``resolved`` the final graph Algorithm 1 reasons over.
+    ``resolved`` the final graph Algorithm 1 reasons over.  Both map
+    ``winner -> {loser: weight}``, with a key for every candidate.
     """
 
     instance: str
     candidates: list[str]
-    direct: nx.DiGraph
-    resolved: nx.DiGraph
+    direct: dict[str, dict[str, int]]
+    resolved: dict[str, dict[str, int]]
     comparison_experience: dict[str, int] = field(default_factory=dict)
 
     def sources(self) -> list[str]:
         """Candidate algorithms with in-degree 0 in the resolved graph."""
-        return [
-            node
-            for node in self.resolved.nodes
-            if self.resolved.in_degree(node) == 0
-        ]
+        beaten = {loser for losers in self.resolved.values() for loser in losers}
+        return [node for node in self.resolved if node not in beaten]
 
 
 class KnowledgeAcquisition:
@@ -69,8 +69,8 @@ class KnowledgeAcquisition:
         "no closure" ablation.
     resolve_conflicts:
         Keep only the higher-weight edge of a contradictory pair (step 12).
-        Disabling this is the "no conflict resolution" ablation, in which the
-        first-inserted edge of a conflicting pair survives.
+        Disabling this is the "no conflict resolution" ablation, in which both
+        edges of a conflicting pair survive.
     """
 
     def __init__(
@@ -106,60 +106,61 @@ class KnowledgeAcquisition:
         return relations
 
     @staticmethod
-    def _build_graph(relations: dict[tuple[str, str], int], candidates: set[str]) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(candidates)
+    def _build_graph(
+        relations: dict[tuple[str, str], int], candidates: list[str]
+    ) -> dict[str, dict[str, int]]:
+        graph: dict[str, dict[str, int]] = {node: {} for node in candidates}
         for (winner, loser), weight in relations.items():
-            graph.add_edge(winner, loser, weight=weight)
+            graph[winner][loser] = weight
         return graph
 
     @staticmethod
-    def _bfs_closure(graph: nx.DiGraph) -> nx.DiGraph:
+    def _bfs_closure(graph: dict[str, dict[str, int]]) -> dict[str, dict[str, int]]:
         """Add transitive edges; a derived edge's weight is the bottleneck (min)
         weight along the strongest path found by BFS (steps 10-11)."""
-        closed = nx.DiGraph()
-        closed.add_nodes_from(graph.nodes)
-        for source in graph.nodes:
+        closed: dict[str, dict[str, int]] = {}
+        for source in graph:
             # Best (maximal) bottleneck weight from source to each reachable node.
             best: dict[str, float] = {source: float("inf")}
             frontier = [source]
             while frontier:
                 next_frontier: list[str] = []
                 for node in frontier:
-                    for _, neighbor, data in graph.out_edges(node, data=True):
-                        bottleneck = min(best[node], data["weight"])
+                    for neighbor, weight in graph[node].items():
+                        bottleneck = min(best[node], weight)
                         if bottleneck > best.get(neighbor, float("-inf")):
                             best[neighbor] = bottleneck
                             next_frontier.append(neighbor)
                 frontier = next_frontier
-            for target, weight in best.items():
-                if target != source:
-                    closed.add_edge(source, target, weight=weight)
+            closed[source] = {
+                target: weight for target, weight in best.items() if target != source
+            }
         return closed
 
     @staticmethod
-    def _resolve_conflicts(graph: nx.DiGraph) -> nx.DiGraph:
+    def _resolve_conflicts(graph: dict[str, dict[str, int]]) -> dict[str, dict[str, int]]:
         """Keep only the higher-weight direction of contradictory edges (step 12)."""
-        resolved = nx.DiGraph()
-        resolved.add_nodes_from(graph.nodes)
-        for u, v, data in graph.edges(data=True):
-            if resolved.has_edge(u, v):
-                continue
-            forward = data["weight"]
-            if graph.has_edge(v, u):
-                backward = graph[v][u]["weight"]
-                if forward > backward:
-                    resolved.add_edge(u, v, weight=forward)
-                elif backward > forward:
-                    resolved.add_edge(v, u, weight=backward)
-                else:
-                    # Equal reliability: deterministic tie-break on node names so
-                    # the result does not depend on iteration order.
-                    winner, loser = sorted((u, v))
-                    resolved.add_edge(winner, loser, weight=forward)
-            else:
-                resolved.add_edge(u, v, weight=forward)
+        resolved: dict[str, dict[str, int]] = {node: {} for node in graph}
+        for u, losers in graph.items():
+            for v, forward in losers.items():
+                backward = graph[v].get(u)
+                # Equal reliability: the names break the tie, so the result does
+                # not depend on iteration order.
+                if backward is None or forward > backward or (forward == backward and u < v):
+                    resolved[u][v] = forward
         return resolved
+
+    @staticmethod
+    def _reachable(graph: dict[str, dict[str, int]], start: str) -> set[str]:
+        """``start`` plus every node a directed path from it reaches."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            for node in graph[stack.pop()]:
+                if node not in seen:
+                    seen.add(node)
+                    stack.append(node)
+        return seen
 
     # -- per-instance analysis ----------------------------------------------------------------
     def analyze_instance(
@@ -176,32 +177,31 @@ class KnowledgeAcquisition:
             mentioned.update(experience.algorithms)
         if len(mentioned) <= self.min_algorithms:
             return None
-        candidates = {experience.best_algorithm for experience in related}
-        relations = self._direct_relations(related, candidates, paper_rank)
+        winners = {experience.best_algorithm for experience in related}
+        relations = self._direct_relations(related, winners, paper_rank)
+        candidates = sorted(winners)
         direct = self._build_graph(relations, candidates)
-        graph = self._bfs_closure(direct) if self.use_bfs_closure else direct.copy()
+        if self.use_bfs_closure:
+            graph = self._bfs_closure(direct)
+        else:
+            graph = {node: dict(losers) for node, losers in direct.items()}
         resolved = self._resolve_conflicts(graph) if self.resolve_conflicts else graph
 
         # Comparison experience (step 14): for each candidate, how many distinct
         # algorithms are transitively proven worse via experiences whose winner
         # is reachable from the candidate.
-        reachable: dict[str, set[str]] = {}
-        for candidate in candidates:
-            nodes = {candidate}
-            if candidate in resolved:
-                nodes |= set(nx.descendants(resolved, candidate))
-            reachable[candidate] = nodes
         comparison: dict[str, int] = {}
         for candidate in candidates:
+            reachable = self._reachable(resolved, candidate)
             beaten: set[str] = set()
             for experience in related:
-                if experience.best_algorithm in reachable[candidate]:
+                if experience.best_algorithm in reachable:
                     beaten.update(experience.other_algorithms)
             beaten.discard(candidate)
             comparison[candidate] = len(beaten)
         return InformationNetwork(
             instance=instance,
-            candidates=sorted(candidates),
+            candidates=candidates,
             direct=direct,
             resolved=resolved,
             comparison_experience=comparison,

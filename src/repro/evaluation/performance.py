@@ -30,20 +30,13 @@ from ..learners.metrics import resolve_scorer
 from ..learners.pipeline import registry_context_suffix, training_matrix
 from ..learners.registry import AlgorithmRegistry
 from ..learners.regression_registry import registry_for_task
-from ..learners.validation import (
-    cross_val_accuracy,
-    cross_val_score_folds,
-    plain_folds,
-    stratified_folds,
-)
+from ..learners.validation import cross_val_score_folds, plain_folds, stratified_folds
 
 __all__ = ["PerformanceTable", "evaluate_algorithm", "tune_algorithm"]
 
 
 def _worst_score(task: str, metric: str | None) -> float:
     """Finite fallback score for a failed cell (0.0 for accuracy, as always)."""
-    if resolve_task(task).is_classification and metric is None:
-        return 0.0
     error = resolve_scorer(metric, task).error_score
     return error if np.isfinite(error) else 0.0
 
@@ -77,13 +70,6 @@ def evaluate_algorithm(
         return _worst_score(task, metric)
     X, y = training_matrix(data, spec)
     task = resolve_task(task).value
-    if task == "classification" and metric is None:
-        try:
-            estimator = registry.build(algorithm, config)
-            return cross_val_accuracy(estimator, X, y, cv=cv, random_state=random_state)
-        except Exception as exc:  # noqa: BLE001 — failed algorithms score worst
-            obs.error_event("performance.evaluate", exc)
-            return 0.0
     scorer = resolve_scorer(metric, task)
     try:
         estimator = registry.build(algorithm, config)

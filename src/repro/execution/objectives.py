@@ -85,16 +85,10 @@ class CrossValObjective:
         y = np.asarray(y)
         self.build = build
         self.task = resolve_task(task).value
-        if self.task == "classification" and metric is None:
-            # The paper's default objective, untouched: stratified folds +
-            # accuracy with 0.0 crash folds, bit-identical to earlier releases.
-            self.scorer: Scorer | None = None
-            self.fold_plan = FoldPlan.stratified(y, cv=cv, random_state=random_state)
-        else:
-            self.scorer = resolve_scorer(metric, self.task)
-            self.fold_plan = FoldPlan.for_task(
-                y, task=self.task, cv=cv, random_state=random_state
-            )
+        # Classification with no metric is the paper's default: stratified
+        # folds and the accuracy scorer, whose crash folds score 0.0.
+        self.scorer = resolve_scorer(metric, self.task)
+        self.fold_plan = FoldPlan.for_task(y, task=self.task, cv=cv, random_state=random_state)
         self._X = X
         self._y = y
         self.data_key = dataplane.fingerprint({"X": X, "y": y})
@@ -125,8 +119,6 @@ class CrossValObjective:
 
     def __call__(self, config: dict[str, Any]) -> float:
         self._bind_payload()
-        if self.scorer is None:
-            return self.fold_plan.score(self.build(config), self._X, self._y)
         return self.fold_plan.score(
             self.build(config),
             self._X,

@@ -27,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "BaseClassifier",
+    "BaseEstimator",
     "NotFittedError",
     "check_X_y",
     "check_array",
@@ -90,24 +91,15 @@ def check_is_fitted(estimator: Any, attribute: str = "classes_") -> None:
         )
 
 
-def clone(estimator: "BaseClassifier") -> "BaseClassifier":
+def clone(estimator: "BaseEstimator") -> "BaseEstimator":
     """Return an unfitted copy of ``estimator`` with identical hyperparameters."""
     return type(estimator)(**copy.deepcopy(estimator.get_params()))
 
 
-class BaseClassifier:
-    """Common machinery for every classifier in the catalogue.
+class BaseEstimator:
+    """The hyperparameter protocol every classifier and regressor shares:
+    constructor keyword arguments are the hyperparameters."""
 
-    Subclasses implement ``_fit(X, y)`` and ``_predict_proba(X)``; label
-    bookkeeping (mapping arbitrary integer labels to a contiguous range and
-    back) is handled here so individual learners can assume labels are
-    ``0..n_classes-1``.
-    """
-
-    def __init__(self) -> None:
-        self.classes_: np.ndarray | None = None
-
-    # -- hyperparameter protocol -------------------------------------------------
     def get_params(self) -> dict[str, Any]:
         """Return the constructor keyword arguments of this estimator."""
         signature = inspect.signature(type(self).__init__)
@@ -121,7 +113,7 @@ class BaseClassifier:
             params[name] = getattr(self, name)
         return params
 
-    def set_params(self, **params: Any) -> "BaseClassifier":
+    def set_params(self, **params: Any) -> "BaseEstimator":
         """Set hyperparameters in place and return ``self``."""
         valid = self.get_params()
         for name, value in params.items():
@@ -132,6 +124,23 @@ class BaseClassifier:
                 )
             setattr(self, name, value)
         return self
+
+    def __repr__(self) -> str:
+        params = ", ".join(f"{k}={v!r}" for k, v in sorted(self.get_params().items()))
+        return f"{type(self).__name__}({params})"
+
+
+class BaseClassifier(BaseEstimator):
+    """Common machinery for every classifier in the catalogue.
+
+    Subclasses implement ``_fit(X, y)`` and ``_predict_proba(X)``; label
+    bookkeeping (mapping arbitrary integer labels to a contiguous range and
+    back) is handled here so individual learners can assume labels are
+    ``0..n_classes-1``.
+    """
+
+    def __init__(self) -> None:
+        self.classes_: np.ndarray | None = None
 
     # -- fit / predict protocol --------------------------------------------------
     def fit(self, X: Any, y: Any) -> "BaseClassifier":
@@ -178,7 +187,3 @@ class BaseClassifier:
         out = np.zeros((labels.shape[0], self.n_classes_), dtype=np.float64)
         out[np.arange(labels.shape[0]), labels] = 1.0
         return out
-
-    def __repr__(self) -> str:
-        params = ", ".join(f"{k}={v!r}" for k, v in sorted(self.get_params().items()))
-        return f"{type(self).__name__}({params})"

@@ -17,13 +17,12 @@ MLP (reused from :mod:`repro.learners.neural`), and a mean/median
 
 from __future__ import annotations
 
-import inspect
 from typing import Any
 
 import numpy as np
 
 from . import kernels
-from .base import NotFittedError, check_array
+from .base import BaseEstimator, NotFittedError, check_array
 from .metrics import r2_score
 
 __all__ = [
@@ -56,43 +55,18 @@ def check_X_y_regression(X: Any, y: Any) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-class BaseRegressor:
+class BaseRegressor(BaseEstimator):
     """Common machinery for every regressor in the catalogue.
 
     Subclasses implement ``_fit(X, y)`` and ``_predict(X)``; input validation
-    and the hyperparameter protocol are handled here, mirroring
-    :class:`~repro.learners.base.BaseClassifier` so both estimator kinds are
+    is handled here, and the hyperparameter protocol comes from
+    :class:`~repro.learners.base.BaseEstimator`, as it does for
+    :class:`~repro.learners.base.BaseClassifier`, so both estimator kinds are
     interchangeable to the HPO and execution layers.
     """
 
     def __init__(self) -> None:
         self.n_features_in_: int | None = None
-
-    # -- hyperparameter protocol -------------------------------------------------
-    def get_params(self) -> dict[str, Any]:
-        """Return the constructor keyword arguments of this estimator."""
-        signature = inspect.signature(type(self).__init__)
-        params = {}
-        for name, parameter in signature.parameters.items():
-            if name == "self" or parameter.kind in (
-                inspect.Parameter.VAR_POSITIONAL,
-                inspect.Parameter.VAR_KEYWORD,
-            ):
-                continue
-            params[name] = getattr(self, name)
-        return params
-
-    def set_params(self, **params: Any) -> "BaseRegressor":
-        """Set hyperparameters in place and return ``self``."""
-        valid = self.get_params()
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(
-                    f"invalid parameter {name!r} for {type(self).__name__}; "
-                    f"valid parameters are {sorted(valid)}"
-                )
-            setattr(self, name, value)
-        return self
 
     # -- fit / predict protocol --------------------------------------------------
     def fit(self, X: Any, y: Any) -> "BaseRegressor":
@@ -119,10 +93,6 @@ class BaseRegressor:
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __repr__(self) -> str:
-        params = ", ".join(f"{k}={v!r}" for k, v in sorted(self.get_params().items()))
-        return f"{type(self).__name__}({params})"
 
 
 class DummyRegressor(BaseRegressor):

@@ -11,8 +11,8 @@ trees, the critical path, per-phase rollups, crash taxonomies and per-worker
 fleet lanes (:mod:`~repro.obs.report`).
 
 Tracing is **off by default** and costs near zero when off: every call site
-goes through the module-level helpers here, which resolve to a no-op tracer
-unless the environment opts in.  Enable it with::
+goes through the module-level helpers here, which hand out the process
+tracer, a no-op unless the environment opts in.  Enable it with::
 
     import repro.obs as obs
     obs.configure("/tmp/obs-journal")       # sets REPRO_OBS_DIR/_ENABLED
@@ -20,8 +20,10 @@ unless the environment opts in.  Enable it with::
         ...                                  # everything beneath is traced
 
 Configuration travels through environment variables (``REPRO_OBS_DIR``,
-``REPRO_OBS_ENABLED``, ``REPRO_OBS_PROFILE``, ``REPRO_TRACE``) so forked
-fleet workers and pre-forked pool workers inherit it with no plumbing.
+``REPRO_OBS_ENABLED``, ``REPRO_OBS_PROFILE``, ``REPRO_TRACE``).  The process
+reads them once, at import; :func:`configure` and :func:`disable` set them and
+replace the process tracer.  Forked fleet and pool workers inherit the
+tracer, and spawned processes read the variables they inherit.
 """
 
 from __future__ import annotations
@@ -80,55 +82,52 @@ ENV_DIR = "REPRO_OBS_DIR"
 ENV_ENABLED = "REPRO_OBS_ENABLED"
 ENV_PROFILE = "REPRO_OBS_PROFILE"
 
-_TRACER: Tracer | None = None
-_TRACER_KEY: tuple | None = None
+
+def _from_environment() -> Tracer:
+    """The tracer the obs environment variables describe."""
+    directory = os.environ.get(ENV_DIR)
+    return Tracer(
+        journal=EventJournal(directory) if directory else None,
+        enabled=os.environ.get(ENV_ENABLED) == "1",
+        profile=os.environ.get(ENV_PROFILE) == "1",
+    )
+
+
+_TRACER = _from_environment()
 
 
 def tracer() -> Tracer:
-    """The process-wide tracer, (re)built whenever the obs env vars change.
-
-    Env-keyed caching makes ``configure``/``disable`` take effect everywhere
-    immediately, and lets forked workers that inherited the env lazily build
-    their own journal handle on first use.
-    """
-    global _TRACER, _TRACER_KEY
-    key = (
-        os.environ.get(ENV_DIR),
-        os.environ.get(ENV_ENABLED),
-        os.environ.get(ENV_PROFILE),
-    )
-    if _TRACER is None or key != _TRACER_KEY:
-        directory, enabled_flag, profile_flag = key
-        journal = EventJournal(directory) if directory else None
-        _TRACER = Tracer(
-            journal=journal,
-            enabled=enabled_flag == "1" and directory is not None,
-            profile=profile_flag == "1",
-        )
-        _TRACER_KEY = key
+    """The process-wide tracer; :func:`configure` and :func:`disable` replace it."""
     return _TRACER
+
+
+def _replace(new: Tracer) -> Tracer:
+    """Install ``new`` as the process tracer and close the journal it replaces."""
+    global _TRACER
+    old, _TRACER = _TRACER, new
+    if old.journal is not None:
+        old.journal.close()
+    return new
 
 
 def configure(
     journal_dir: str | Path, *, enabled: bool = True, profile: bool = False
 ) -> Tracer:
-    """Turn tracing on (or off) for this process and every child it forks."""
+    """Turn tracing on (or off) for this process and every child it starts."""
     os.environ[ENV_DIR] = str(journal_dir)
     os.environ[ENV_ENABLED] = "1" if enabled else "0"
     if profile:
         os.environ[ENV_PROFILE] = "1"
     else:
         os.environ.pop(ENV_PROFILE, None)
-    return tracer()
+    return _replace(_from_environment())
 
 
 def disable() -> None:
     """Fully reset obs: tracing off, env cleared (test isolation helper)."""
-    global _TRACER, _TRACER_KEY
     for name in (ENV_DIR, ENV_ENABLED, ENV_PROFILE, ENV_TRACE):
         os.environ.pop(name, None)
-    _TRACER = None
-    _TRACER_KEY = None
+    _replace(Tracer())
 
 
 def enabled() -> bool:

@@ -360,8 +360,9 @@ def aggregate_worker_payloads(payloads: list[dict]) -> dict:
     """Merge full per-worker ``/metrics`` payloads into one pool-wide view.
 
     Counters sum, gauges in ``_MAX_KEYS`` take the max, latency quantiles are
-    recomputed over the union of reservoir samples, and derived ratios
-    (mean batch size) are recomputed from the summed numerators/denominators.
+    recomputed over the union of reservoir samples, and derived ratios (mean
+    batch size, feature-cache hit rate) are recomputed from the summed
+    numerators/denominators.
     """
     workers = [
         {
@@ -377,6 +378,10 @@ def aggregate_worker_payloads(payloads: list[dict]) -> dict:
     dispatcher["mean_batch_size"] = (
         round(dispatcher.get("n_batched_requests", 0) / n_batches, 2) if n_batches else 0.0
     )
+    cache = dispatcher.get("feature_cache")
+    if cache:
+        lookups = cache["hits"] + cache["misses"]
+        cache["hit_rate"] = round(cache["hits"] / lookups, 4) if lookups else 0.0
     return {
         "workers": workers,
         "http": _aggregate_http([p.get("http", {}) for p in payloads]),

@@ -1,11 +1,20 @@
 """Tests for Algorithm 1 (knowledge acquisition) and the information network."""
 
+import itertools
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.corpus import Experience, ExperienceSet, Paper
+from repro.corpus import CorpusConfig, CorpusGenerator, Experience, ExperienceSet, Paper
 from repro.core.knowledge import KnowledgeAcquisition, acquire_knowledge
+from repro.evaluation import PerformanceTable
+
+GOLDEN_FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "knowledge_networks.json"
+GOLDEN_SEEDS = (0, 1, 2)
 
 
 def build_corpus(experiences, papers=None) -> ExperienceSet:
@@ -29,6 +38,70 @@ def build_corpus(experiences, papers=None) -> ExperienceSet:
 
 
 ALGORITHMS = ["A", "B", "C", "D", "E", "F"]
+
+
+def n_edges(graph) -> int:
+    return sum(len(losers) for losers in graph.values())
+
+
+def golden_corpus(seed: int) -> ExperienceSet:
+    """A generated corpus over true scores quantised to tenths, so many
+    algorithms tie and noisy papers often disagree about the winner."""
+    rng = np.random.default_rng(seed)
+    algorithms = [f"A{i}" for i in range(10)]
+    datasets = [f"D{i}" for i in range(8)]
+    scores = np.round(rng.uniform(0.6, 0.9, (len(datasets), len(algorithms))), 1)
+    table = PerformanceTable(algorithms=algorithms, datasets=datasets, scores=scores)
+    config = CorpusConfig(
+        n_papers=6, min_algorithms_per_paper=4, max_algorithms_per_paper=8, random_state=seed
+    )
+    return CorpusGenerator(table, config).generate()
+
+
+def dump_network(acquisition: KnowledgeAcquisition, network) -> dict:
+    """Everything Algorithm 1 derives for one instance, as plain JSON values."""
+
+    def edges(graph) -> list:
+        return sorted([u, v, w] for u, losers in graph.items() for v, w in losers.items())
+
+    pair = acquisition.select_optimal(network)
+    return {
+        "instance": network.instance,
+        "candidates": network.candidates,
+        "direct": edges(network.direct),
+        "resolved": edges(network.resolved),
+        "sources": sorted(network.sources()),
+        "comparison": dict(sorted(network.comparison_experience.items())),
+        "pair": [pair.instance, pair.algorithm, pair.evidence, list(pair.candidates)],
+    }
+
+
+def golden_networks() -> list[dict]:
+    """The dumps the golden fixture holds: every retained instance of each seeded
+    corpus under the four closure/conflict settings, plus an equal-weight conflict."""
+    dumps = []
+    for seed in GOLDEN_SEEDS:
+        corpus = golden_corpus(seed)
+        for closure, conflicts in itertools.product((True, False), repeat=2):
+            acquisition = KnowledgeAcquisition(
+                min_algorithms=5, use_bfs_closure=closure, resolve_conflicts=conflicts
+            )
+            for instance in corpus.instances():
+                network = acquisition.analyze_instance(instance, corpus)
+                if network is not None:
+                    dump = dump_network(acquisition, network)
+                    dumps.append({"seed": seed, "flags": [closure, conflicts], **dump})
+    # p1 says B beats A, p2 says A beats B, and both weigh 3: the names break the tie.
+    corpus = build_corpus(
+        [
+            ("p1", "wine", "B", ["A", "C", "D", "E", "F"]),
+            ("p2", "wine", "A", ["B", "C", "D", "E", "F"]),
+        ]
+    )
+    acquisition = KnowledgeAcquisition(min_algorithms=5)
+    network = acquisition.analyze_instance("wine", corpus, paper_rank={"p1": 3, "p2": 3})
+    dumps.append({"seed": None, "flags": [True, True], **dump_network(acquisition, network)})
+    return dumps
 
 
 class TestKnowledgeAcquisition:
@@ -62,7 +135,7 @@ class TestKnowledgeAcquisition:
         acquisition = KnowledgeAcquisition(min_algorithms=5)
         network = acquisition.analyze_instance("wine", corpus)
         assert network is not None
-        assert network.resolved.has_edge("A", "B")
+        assert "B" in network.resolved["A"]
         pair = acquisition.select_optimal(network)
         assert pair.algorithm == "A"
 
@@ -76,8 +149,8 @@ class TestKnowledgeAcquisition:
         )
         acquisition = KnowledgeAcquisition(min_algorithms=5)
         network = acquisition.analyze_instance("wine", corpus)
-        assert network.resolved.has_edge("A", "B")
-        assert not network.resolved.has_edge("B", "A")
+        assert "B" in network.resolved["A"]
+        assert "A" not in network.resolved["B"]
         assert acquisition.select_optimal(network).algorithm == "A"
 
     def test_conflict_kept_when_resolution_disabled(self):
@@ -90,7 +163,7 @@ class TestKnowledgeAcquisition:
         acquisition = KnowledgeAcquisition(min_algorithms=5, resolve_conflicts=False)
         network = acquisition.analyze_instance("wine", corpus)
         # Without resolution both directed edges survive.
-        assert network.resolved.has_edge("A", "B") and network.resolved.has_edge("B", "A")
+        assert "B" in network.resolved["A"] and "A" in network.resolved["B"]
 
     def test_tie_broken_by_comparison_experience(self):
         # A and B never compared against each other; A has beaten more algorithms.
@@ -137,9 +210,37 @@ class TestKnowledgeAcquisition:
         without_bfs = KnowledgeAcquisition(
             min_algorithms=5, use_bfs_closure=False
         ).analyze_instance("wine", corpus)
-        assert with_bfs.resolved.number_of_edges() >= without_bfs.resolved.number_of_edges()
-        assert with_bfs.resolved.has_edge("A", "C")
-        assert not without_bfs.resolved.has_edge("A", "C")
+        assert n_edges(with_bfs.resolved) >= n_edges(without_bfs.resolved)
+        assert "C" in with_bfs.resolved["A"]
+        assert "C" not in without_bfs.resolved["A"]
+
+
+class TestGoldenNetworks:
+    """The adjacency-dict graphs against :func:`golden_networks` as the earlier
+    networkx-backed implementation computed it: edges with weights, sources,
+    comparison counts and knowledge pairs.  That implementation's DiGraphs
+    were read into the same ``winner -> {loser: weight}`` shape before
+    :func:`dump_network` ran on them."""
+
+    def test_networks_match_the_golden_fixture(self):
+        expected = json.loads(GOLDEN_FIXTURE.read_text())
+        actual = golden_networks()
+        assert len(actual) == len(expected)
+        for got, want in zip(actual, expected):
+            assert got == want, (want["seed"], want["flags"], want["instance"])
+        # The equal-weight conflict resolves to the first name.
+        assert expected[-1]["resolved"] == [["A", "B", 3]]
+
+    def test_graphs_have_a_sorted_key_per_candidate(self):
+        corpus = golden_corpus(GOLDEN_SEEDS[0])
+        acquisition = KnowledgeAcquisition(min_algorithms=5)
+        networks = [acquisition.analyze_instance(i, corpus) for i in corpus.instances()]
+        networks = [n for n in networks if n is not None]
+        assert networks
+        for network in networks:
+            assert list(network.direct) == network.candidates
+            assert list(network.resolved) == network.candidates
+            assert network.sources() == sorted(network.sources())
 
 
 class TestKnowledgeOnGeneratedCorpus:

@@ -284,6 +284,24 @@ class TestAggregation:
         assert merged["dispatcher"]["mean_batch_size"] == pytest.approx(4.67, abs=0.01)
         assert merged["registry"]["models"] == 2  # max, not 4
 
+    def test_feature_cache_hit_rate_recomputed_from_summed_counts(self):
+        a = _worker_payload("w0", 4, [1.0])
+        b = _worker_payload("w1", 4, [1.0])
+        a["dispatcher"]["feature_cache"] = {
+            "hits": 3, "misses": 1, "hit_rate": 0.75, "evictions": 0,
+        }
+        b["dispatcher"]["feature_cache"] = {
+            "hits": 6, "misses": 2, "hit_rate": 0.75, "evictions": 1,
+        }
+        cache = aggregate_worker_payloads([a, b])["dispatcher"]["feature_cache"]
+        # 9 hits over 12 lookups, not the sum 1.5 of the two workers' rates.
+        assert cache == {"hits": 9, "misses": 3, "hit_rate": 0.75, "evictions": 1}
+
+    def test_feature_cache_hit_rate_without_lookups_is_zero(self):
+        a = _worker_payload("w0", 0, [1.0])
+        a["dispatcher"]["feature_cache"] = {"hits": 0, "misses": 0, "hit_rate": 0.0, "evictions": 0}
+        assert aggregate_worker_payloads([a, a])["dispatcher"]["feature_cache"]["hit_rate"] == 0.0
+
     def test_picks_sum_per_algorithm(self):
         a = _worker_payload("w0", 4, [1.0])
         b = _worker_payload("w1", 6, [1.0])

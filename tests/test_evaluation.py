@@ -217,9 +217,9 @@ class TestCashEvaluation:
             self.config = config or {}
 
         def run(self, dataset, time_limit=None, max_evaluations=None):
-            from repro.baselines import CASHBaselineSolution
+            from repro import CASHSolution
 
-            return CASHBaselineSolution(
+            return CASHSolution(
                 algorithm=self.algorithm,
                 config=dict(self.config),
                 cv_score=0.5,
