@@ -8,7 +8,8 @@ bit-identity on more datasets; here it gates the timing so a fast-but-wrong
 kernel can never pass).
 Rule fit (vectorized condition scoring) and Bagging fit (members on shared
 sort orders) are measured and recorded the same way, outputs asserted
-identical, without a floor.
+identical, without a floor.  Each kernel and its reference are timed in
+alternating turns, best-of-N on both sides, so machine load slows both.
 
 Also quantifies the engine data plane's dispatch saving: per-trial submits
 must pickle the objective *without* its matrices, and every process-backend
@@ -62,13 +63,18 @@ def _blobs(seed: int, n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _time(fn, repeats: int = 3) -> float:
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _race(kernel, reference, repeats: int = 3) -> tuple[float, float]:
+    """Best-of-``repeats`` seconds of ``kernel`` and of ``reference``, timed
+    in alternating turns (who goes first alternates too), so a load spike
+    lands on both sides instead of skewing one of them."""
+    best = [np.inf, np.inf]
+    sides = [kernel, reference]
+    for turn in range(repeats):
+        for side in (0, 1) if turn % 2 == 0 else (1, 0):
+            t0 = time.perf_counter()
+            sides[side]()
+            best[side] = min(best[side], time.perf_counter() - t0)
+    return best[0], best[1]
 
 
 def _update_snapshot(section: str, payload: dict) -> None:
@@ -87,8 +93,7 @@ def test_bench_kernel_speedups():
     Xq, _ = _blobs(9, 800, 10, 4)
     live_tree = DecisionTreeClassifier(criterion="gain_ratio", random_state=0)
     ref_tree = ReferenceDecisionTree(criterion="gain_ratio", random_state=0)
-    live_t = _time(lambda: live_tree.fit(X, y))
-    ref_t = _time(lambda: ref_tree.fit(X, y), repeats=1)
+    live_t, ref_t = _race(lambda: live_tree.fit(X, y), lambda: ref_tree.fit(X, y), repeats=2)
     assert np.array_equal(live_tree.predict_proba(Xq), ref_tree.predict_proba(Xq))
     snapshot["tree_fit"] = {"kernel_s": live_t, "reference_s": ref_t}
     rows.append({"kernel": "tree fit (1500x10)", "reference s": ref_t,
@@ -99,8 +104,7 @@ def test_bench_kernel_speedups():
     Xq, _ = _blobs(8, 400, 10, 3)
     live_rf = RandomForest(n_estimators=8, random_state=0)
     ref_rf = ReferenceRandomForest(n_estimators=8, random_state=0)
-    live_f = _time(lambda: live_rf.fit(X, y))
-    ref_f = _time(lambda: ref_rf.fit(X, y), repeats=1)
+    live_f, ref_f = _race(lambda: live_rf.fit(X, y), lambda: ref_rf.fit(X, y), repeats=2)
     assert np.array_equal(live_rf.predict_proba(Xq), ref_rf.predict_proba(Xq))
     snapshot["forest_fit"] = {"kernel_s": live_f, "reference_s": ref_f}
     rows.append({"kernel": "forest fit (800x10, 8 trees)", "reference s": ref_f,
@@ -111,8 +115,9 @@ def test_bench_kernel_speedups():
     Xq, _ = _blobs(7, 6000, 12, 5)
     live_knn = IBk(n_neighbors=50, weighting="distance").fit(X, y)
     ref_knn = ReferenceIBk(n_neighbors=50, weighting="distance").fit(X, y)
-    live_k = _time(lambda: live_knn.predict_proba(Xq))
-    ref_k = _time(lambda: ref_knn.predict_proba(Xq))
+    live_k, ref_k = _race(
+        lambda: live_knn.predict_proba(Xq), lambda: ref_knn.predict_proba(Xq), repeats=7
+    )
     assert np.array_equal(live_knn.predict_proba(Xq), ref_knn.predict_proba(Xq))
     snapshot["knn_predict"] = {"kernel_s": live_k, "reference_s": ref_k}
     rows.append({"kernel": "kNN predict (6000 queries)", "reference s": ref_k,
@@ -124,8 +129,7 @@ def test_bench_kernel_speedups():
     Xq, _ = _blobs(6, 300, 12, 4)
     live_rules = JRip()
     ref_rules = ReferenceJRip()
-    live_r = _time(lambda: live_rules.fit(X, y))
-    ref_r = _time(lambda: ref_rules.fit(X, y), repeats=1)
+    live_r, ref_r = _race(lambda: live_rules.fit(X, y), lambda: ref_rules.fit(X, y))
     assert [(r.conditions, r.label) for r in live_rules.rules_] == [
         (r.conditions, r.label) for r in ref_rules.rules_
     ]
@@ -140,8 +144,7 @@ def test_bench_kernel_speedups():
     Xq, _ = _blobs(7, 400, 10, 3)
     live_bag = Bagging(n_estimators=10, random_state=0)
     ref_bag = ReferenceBagging(n_estimators=10, random_state=0)
-    live_b = _time(lambda: live_bag.fit(X, y))
-    ref_b = _time(lambda: ref_bag.fit(X, y))
+    live_b, ref_b = _race(lambda: live_bag.fit(X, y), lambda: ref_bag.fit(X, y))
     assert np.array_equal(live_bag.predict_proba(Xq), ref_bag.predict_proba(Xq))
     snapshot["bagging_fit"] = {"kernel_s": live_b, "reference_s": ref_b}
     recorded.append({"kernel": "Bagging fit (800x10, 10 trees)", "reference s": ref_b,

@@ -83,6 +83,16 @@ def _strip_condition(condition, marker: str):
     return None
 
 
+def _clip(value: Any, low: Any, high: Any) -> Any:
+    """``np.clip`` for one Python scalar, without numpy's per-call cost.
+
+    The same value as ``np.clip(value, low, high)`` whenever ``low <= high``,
+    NaN included (it passes through, as with ``np.clip``); callers convert it
+    with ``float``/``int`` as they converted numpy's scalar.
+    """
+    return min(max(value, low), high)
+
+
 class Hyperparameter:
     """Base class for a single named hyperparameter."""
 
@@ -131,7 +141,7 @@ class FloatParam(Hyperparameter):
 
     def mutate(self, value: float, rng: np.random.Generator, scale: float = 0.2) -> float:
         u = self.to_unit(value) + float(rng.normal(0.0, scale))
-        return self.from_unit(float(np.clip(u, 0.0, 1.0)))
+        return self.from_unit(float(_clip(u, 0.0, 1.0)))
 
     def grid(self, resolution: int) -> list[float]:
         return [self.from_unit(u) for u in np.linspace(0.0, 1.0, max(2, resolution))]
@@ -140,22 +150,22 @@ class FloatParam(Hyperparameter):
         # Clamp on both sides: the unit encoding must be a monotone bijection
         # between [low, high] and [0, 1] even at the floating-point edges
         # (e.g. exp(log(high)) can land one ulp above high).
-        value = float(np.clip(value, self.low, self.high))
+        value = float(_clip(value, self.low, self.high))
         if self.log:
             u = (np.log(value) - np.log(self.low)) / (np.log(self.high) - np.log(self.low))
         else:
             u = (value - self.low) / (self.high - self.low)
-        return float(np.clip(u, 0.0, 1.0))
+        return float(_clip(u, 0.0, 1.0))
 
     def from_unit(self, u: float) -> float:
-        u = float(np.clip(u, 0.0, 1.0))
+        u = float(_clip(u, 0.0, 1.0))
         if self.log:
             value = np.exp(np.log(self.low) + u * (np.log(self.high) - np.log(self.low)))
         else:
             value = self.low + u * (self.high - self.low)
         # Clipping is monotone, so the encoding stays order-preserving while
         # never escaping the declared domain through rounding.
-        return float(np.clip(value, self.low, self.high))
+        return float(_clip(value, self.low, self.high))
 
     def validate(self, value: Any) -> bool:
         return isinstance(value, (int, float)) and self.low <= float(value) <= self.high
@@ -181,11 +191,11 @@ class IntParam(Hyperparameter):
         return FloatParam(self.name, self.low, self.high + 0.4999, log=self.log)
 
     def sample(self, rng: np.random.Generator) -> int:
-        return int(np.clip(round(self._continuous().sample(rng)), self.low, self.high))
+        return int(_clip(round(self._continuous().sample(rng)), self.low, self.high))
 
     def mutate(self, value: int, rng: np.random.Generator, scale: float = 0.2) -> int:
         mutated = self._continuous().mutate(float(value), rng, scale)
-        return int(np.clip(round(mutated), self.low, self.high))
+        return int(_clip(round(mutated), self.low, self.high))
 
     def grid(self, resolution: int) -> list[int]:
         count = min(max(2, resolution), self.high - self.low + 1)
@@ -193,12 +203,12 @@ class IntParam(Hyperparameter):
 
     def to_unit(self, value: int) -> float:
         return FloatParam(self.name, self.low, self.high, log=self.log).to_unit(
-            float(np.clip(value, self.low, self.high))
+            float(_clip(value, self.low, self.high))
         )
 
     def from_unit(self, u: float) -> int:
         value = FloatParam(self.name, self.low, self.high, log=self.log).from_unit(u)
-        return int(np.clip(round(value), self.low, self.high))
+        return int(_clip(round(value), self.low, self.high))
 
     def validate(self, value: Any) -> bool:
         return (
@@ -238,7 +248,7 @@ class CategoricalParam(Hyperparameter):
         return index / (len(self.choices) - 1)
 
     def from_unit(self, u: float) -> Any:
-        index = int(round(float(np.clip(u, 0.0, 1.0)) * (len(self.choices) - 1)))
+        index = int(round(float(_clip(u, 0.0, 1.0)) * (len(self.choices) - 1)))
         return self.choices[index]
 
     def validate(self, value: Any) -> bool:

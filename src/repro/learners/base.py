@@ -100,18 +100,25 @@ class BaseEstimator:
     """The hyperparameter protocol every classifier and regressor shares:
     constructor keyword arguments are the hyperparameters."""
 
+    @classmethod
+    def _param_names(cls) -> tuple[str, ...]:
+        """The constructor's keyword names, read from its signature once per
+        class (a subclass with its own ``__init__`` gets its own entry)."""
+        names = cls.__dict__.get("_init_param_names")
+        if names is None:
+            names = tuple(
+                name
+                for name, parameter in inspect.signature(cls.__init__).parameters.items()
+                if name != "self"
+                and parameter.kind
+                not in (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
+            )
+            cls._init_param_names = names
+        return names
+
     def get_params(self) -> dict[str, Any]:
         """Return the constructor keyword arguments of this estimator."""
-        signature = inspect.signature(type(self).__init__)
-        params = {}
-        for name, parameter in signature.parameters.items():
-            if name == "self" or parameter.kind in (
-                inspect.Parameter.VAR_POSITIONAL,
-                inspect.Parameter.VAR_KEYWORD,
-            ):
-                continue
-            params[name] = getattr(self, name)
-        return params
+        return {name: getattr(self, name) for name in self._param_names()}
 
     def set_params(self, **params: Any) -> "BaseEstimator":
         """Set hyperparameters in place and return ``self``."""

@@ -13,7 +13,7 @@ import numpy as np
 from .. import obs
 from . import kernels
 from .base import BaseClassifier, clone
-from .tree import DecisionStump, DecisionTreeClassifier, J48, RandomTree
+from .tree import DecisionStump, DecisionTreeClassifier, J48, RandomTree, grow_members
 
 __all__ = [
     "Bagging",
@@ -35,7 +35,7 @@ def _default_base() -> BaseClassifier:
 def _shared_orders(base: BaseClassifier, X: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """``(X.T, sort orders)`` shared by every member when the base is a tree.
 
-    Tree members then fit through :meth:`DecisionTreeClassifier._fit_from_base`
+    Tree members then grow through :func:`~repro.learners.tree.grow_members`
     on these, computed once per ensemble fit, instead of re-validating and
     re-sorting a materialised sample per member.
     """
@@ -44,19 +44,25 @@ def _shared_orders(base: BaseClassifier, X: np.ndarray) -> tuple[np.ndarray, np.
     return np.ascontiguousarray(X.T), kernels.feature_orders(X)
 
 
-def _fit_sample(
-    model: BaseClassifier,
+def _fit_samples(
+    models: list[BaseClassifier],
     X: np.ndarray,
     y: np.ndarray,
-    idx: np.ndarray,
+    samples: list[np.ndarray],
     shared: tuple[np.ndarray, np.ndarray] | None,
 ) -> None:
-    """Fit ``model`` on rows ``idx`` — on the shared orders when it is a tree."""
+    """Fit ``models[i]`` on rows ``samples[i]`` — trees in lockstep on the
+    shared orders, any other base on the materialised sample."""
     if shared is None:
-        model.fit(X[idx], y[idx])
-    else:
-        XT, orders = shared
-        model._fit_from_base(XT, y, orders, np.bincount(idx, minlength=X.shape[0]))
+        for model, idx in zip(models, samples):
+            model.fit(X[idx], y[idx])
+        return
+    XT, orders = shared
+    members = [
+        (model, np.bincount(idx, minlength=X.shape[0]), None)
+        for model, idx in zip(models, samples)
+    ]
+    grow_members(members, XT, y, orders)
 
 
 def _aligned_proba(model: BaseClassifier, X: np.ndarray, n_classes: int) -> np.ndarray:
@@ -91,8 +97,7 @@ class Bagging(BaseClassifier):
         base = self.base_estimator if self.base_estimator is not None else _default_base()
         n = X.shape[0]
         sample_size = max(2, int(round(self.max_samples * n)))
-        shared = _shared_orders(base, X)
-        self.estimators_: list[BaseClassifier] = []
+        samples = []
         for _ in range(int(self.n_estimators)):
             idx = rng.integers(0, n, size=sample_size)
             if len(np.unique(y[idx])) < 2 and len(np.unique(y)) >= 2:
@@ -100,9 +105,9 @@ class Bagging(BaseClassifier):
                 for label in np.unique(y)[:2]:
                     members = np.flatnonzero(y == label)
                     idx[rng.integers(0, sample_size)] = members[rng.integers(0, len(members))]
-            model = clone(base)
-            _fit_sample(model, X, y, idx, shared)
-            self.estimators_.append(model)
+            samples.append(idx)
+        self.estimators_: list[BaseClassifier] = [clone(base) for _ in samples]
+        _fit_samples(self.estimators_, X, y, samples, _shared_orders(base, X))
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         n_classes = len(self.classes_)
@@ -145,7 +150,7 @@ class AdaBoostM1(BaseClassifier):
             idx = rng.choice(n, size=n, replace=True, p=weights)
             model = clone(base)
             try:
-                _fit_sample(model, X, y, idx, shared)
+                _fit_samples([model], X, y, [idx], shared)
             except Exception as exc:  # noqa: BLE001 — boosting stops at the failed round
                 obs.error_event("ensemble.boost_fit", exc)
                 break
@@ -320,18 +325,20 @@ class RandomSubSpace(BaseClassifier):
         base = self.base_estimator if self.base_estimator is not None else _default_base()
         n_features = X.shape[1]
         k = max(1, int(round(self.subspace_fraction * n_features)))
+        self.subspaces_: list[np.ndarray] = [
+            rng.choice(n_features, size=k, replace=False) for _ in range(int(self.n_estimators))
+        ]
+        self.estimators_: list[BaseClassifier] = [clone(base) for _ in self.subspaces_]
         shared = _shared_orders(base, X)
-        self.estimators_: list[BaseClassifier] = []
-        self.subspaces_: list[np.ndarray] = []
-        for _ in range(int(self.n_estimators)):
-            features = rng.choice(n_features, size=k, replace=False)
-            model = clone(base)
-            if shared is None:
+        if shared is None:
+            for model, features in zip(self.estimators_, self.subspaces_):
                 model.fit(X[:, features], y)
-            else:
-                model._fit_from_base(shared[0][features], y, shared[1][features])
-            self.estimators_.append(model)
-            self.subspaces_.append(features)
+        else:
+            members = [
+                (model, None, features)
+                for model, features in zip(self.estimators_, self.subspaces_)
+            ]
+            grow_members(members, shared[0], y, shared[1])
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         n_classes = len(self.classes_)

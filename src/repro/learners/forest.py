@@ -6,7 +6,7 @@ import numpy as np
 
 from . import kernels
 from .base import BaseClassifier, check_is_fitted, export_labels
-from .tree import DecisionTreeClassifier, RandomTree
+from .tree import DecisionTreeClassifier, RandomTree, grow_members
 
 __all__ = ["RandomForest", "ExtraTrees"]
 
@@ -48,15 +48,9 @@ class RandomForest(BaseClassifier):
             raise ValueError("n_estimators must be >= 1")
         rng = np.random.default_rng(self.random_state)
         n = X.shape[0]
-        # The per-feature stable sort orders are computed ONCE per forest and
-        # shared by every member: each tree expands them by its bootstrap
-        # multiplicities instead of re-sorting its sampled matrix at every
-        # node.  Split scores only read cumulative label counts at value-run
-        # boundaries, which are permutation invariant, so the fitted members
-        # are identical to refitting on the materialised ``X[idx]``.
-        XT = np.ascontiguousarray(X.T)
-        orders = kernels.feature_orders(X)
-        self.estimators_: list[DecisionTreeClassifier] = []
+        # Every member's seed and bootstrap are drawn first, in the order the
+        # member-by-member loop drew them; the members then grow in lockstep.
+        members = []
         for _ in range(int(self.n_estimators)):
             seed = int(rng.integers(0, 2**31 - 1))
             counts = None
@@ -66,10 +60,18 @@ class RandomForest(BaseClassifier):
                 # member tree predicts over the full label set.
                 for label in range(len(self.classes_)):
                     if not np.any(y[idx] == label):
-                        members = np.flatnonzero(y == label)
-                        idx[rng.integers(0, n)] = members[rng.integers(0, len(members))]
+                        labelled = np.flatnonzero(y == label)
+                        idx[rng.integers(0, n)] = labelled[rng.integers(0, len(labelled))]
                 counts = np.bincount(idx, minlength=n)
-            self.estimators_.append(self._make_tree(seed)._fit_from_base(XT, y, orders, counts))
+            members.append((self._make_tree(seed), counts, None))
+        # The per-feature stable sort orders are computed ONCE per forest and
+        # shared by every member: each tree expands them by its bootstrap
+        # multiplicities instead of re-sorting its sampled matrix at every
+        # node.  Split scores only read cumulative label counts at value-run
+        # boundaries, which are permutation invariant, so the fitted members
+        # are identical to refitting on the materialised ``X[idx]``.
+        grow_members(members, np.ascontiguousarray(X.T), y, kernels.feature_orders(X))
+        self.estimators_: list[DecisionTreeClassifier] = [tree for tree, _, _ in members]
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros((X.shape[0], len(self.classes_)))

@@ -7,15 +7,19 @@ system — every CV fold of every trial of every optimizer runs them, and the
 offline build scores every catalogue learner on every knowledge dataset.
 This module collects those loops as array kernels:
 
-* **Node-level split search** (:func:`best_split_classification`) — one call
-  per tree node scores every candidate feature's thresholds at once: one-hot
-  label counts are cumulatively summed along each feature's sort order into a
-  ``(side, feature, position, class)`` block, so the impurity of every
-  candidate split is one vectorized pass (feature blocks bounded by
-  :data:`DEFAULT_CHUNK_ELEMENTS`).  The trees' nodes hold ≤ a few hundred
-  rows, so the saving is numpy's per-call overhead, paid once per node
-  instead of once per (node, feature).  :func:`best_split_regression` keeps
-  the per-feature prefix-sum scan.
+* **Batched split search** (:func:`best_split_classification`) — one call
+  scores every node search of a growth step: a lone tree's next node, or the
+  next node of each of up to 16 ensemble members growing in lockstep.  The
+  candidates' sorted rows are laid end to end, one-hot label counts are
+  summed cumulatively along them, and only positions between distinct values
+  are scored, in a ``(side, class, position)`` block whose class axis is
+  added up in numpy's own ``sum(axis=-1)`` order (:func:`_class_sum`), so
+  every impurity keeps the bits of the earlier class-last, one-node-per-call
+  pass (blocks bounded by :data:`DEFAULT_CHUNK_ELEMENTS`).  The trees' nodes
+  hold ≤ a few hundred rows, so the saving is numpy's per-call overhead,
+  paid once per step instead of once per node, and the short class-axis
+  inner loops.  :func:`best_split_regression` keeps the per-feature
+  prefix-sum scan.
 * **Sort-order matrices** (:func:`feature_orders`, :func:`filter_orders`,
   :func:`expand_orders`) — a fit's stable per-feature sort orders are one
   ``(features, rows)`` int matrix, computed once per fit (once per *ensemble*,
@@ -39,12 +43,19 @@ This module collects those loops as array kernels:
 
 Every kernel is gated on score-identical results versus the frozen
 implementations in ``tests/support/reference_learners.py`` — see
-``tests/learners/test_kernel_equivalence.py``.
+``tests/learners/test_kernel_equivalence.py``.  For the trees that identity
+holds for gini at any class count and for entropy and gain ratio below 8
+classes: the reference's entropy sums only the non-empty classes, this
+kernel the whole class axis, and from 8 classes on numpy's pairwise
+summation rounds the two sums differently.  Fits at 8 to 30 classes are
+pinned instead by ``tests/learners/test_tree_golden.py``, against a fixture
+the node-at-a-time kernel wrote.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,6 +64,7 @@ __all__ = [
     "filter_orders",
     "expand_orders",
     "candidate_features",
+    "SplitSearch",
     "best_split_classification",
     "best_split_regression",
     "FlatTree",
@@ -137,93 +149,222 @@ def candidate_features(
     return rng.choice(n_features, size=k, replace=False)
 
 
-def _impurity_matrix(counts: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity of every candidate split side, reduced over the class axis.
+class SplitSearch(NamedTuple):
+    """One tree node's split search, as :func:`best_split_classification` takes it.
 
-    ``counts`` is ``(side, feature, position, class)`` with side 0 the left
-    and side 1 the right of each split; ``totals`` is ``(side, position)``.
-    Replicates the scalar helpers of :mod:`repro.learners.tree` operation for
-    operation — ``gini``: ``1 - Σ (c/t)²``; ``entropy``: ``-Σ p·log2(p)`` over
-    the positive entries.  Empty classes take ``log2(1) = 0``, so their terms
-    are the exact ``0.0`` the scalar helper skips.
+    ``rows`` holds the node's member ids (rows of ``XT``'s columns, repeats
+    allowed) in each candidate feature's stable sort order, one row per
+    candidate, and ``features`` the row of ``XT`` that holds each candidate's
+    values.  ``labels`` are the labels of all base rows; ``counts`` and
+    ``impurity`` are the node's own class counts and impurity.
     """
-    p = counts / totals[:, None, :, None]
-    if criterion == "gini":
-        return 1.0 - (p * p).sum(axis=-1)
-    return -(p * np.log2(np.where(counts > 0, p, 1.0))).sum(axis=-1)
+
+    labels: np.ndarray
+    rows: np.ndarray
+    features: np.ndarray
+    counts: np.ndarray
+    impurity: float
+
+
+def _class_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum ``terms`` over axis 1 (the class axis) in numpy's ``sum(axis=-1)`` order.
+
+    A contiguous reduction adds fewer than 8 terms left to right, up to 128
+    terms in eight strided accumulators combined pairwise plus a left-to-right
+    tail, and more by halves.  Reproducing that order keeps every impurity
+    bit-identical to summing a class-last block, while each addition here is
+    one pass over a whole ``(side, position)`` slab instead of a short inner
+    loop per position.  Numpy starts its left-to-right sum from ``0.0``; that
+    differs from starting at the first term only for a ``-0.0`` term, and
+    impurity terms are never ``-0.0``.
+    """
+    n = terms.shape[1]
+    if n < 8:
+        total = terms[:, 0] + terms[:, 1] if n > 1 else terms[:, 0].copy()
+        for c in range(2, n):
+            total += terms[:, c]
+        return total
+    if n <= 128:
+        acc = terms[:, :8].copy()
+        stop = n - n % 8
+        for start in range(8, stop, 8):
+            acc += terms[:, start : start + 8]
+        total = ((acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])) + (
+            (acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7])
+        )
+        for c in range(stop, n):
+            total += terms[:, c]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _class_sum(terms[:, :half]) + _class_sum(terms[:, half:])
+
+
+def _split_blocks(searches: Sequence[SplitSearch], group: list[int], n_classes: int):
+    """Cut a group's (search, candidate) pairs into blocks of ``(search, start, stop)``.
+
+    A candidate of an ``n``-row node adds ``2 * n * n_classes`` elements to a
+    block's count array; blocks are filled in order up to
+    :data:`DEFAULT_CHUNK_ELEMENTS`, and a candidate above the bound alone gets
+    its own block.  For a single search this is :func:`query_chunks` over its
+    candidates.
+    """
+    budget = DEFAULT_CHUNK_ELEMENTS
+    block: list[tuple[int, int, int]] = []
+    used = 0
+    for i in group:
+        k, n = searches[i].rows.shape
+        cost = 2 * n * n_classes
+        start = 0
+        while start < k:
+            take = min(k - start, (budget - used) // cost)
+            if take <= 0:
+                if block:
+                    yield block
+                    block, used = [], 0
+                    continue
+                take = 1
+            block.append((i, start, start + take))
+            used += take * cost
+            start += take
+    if block:
+        yield block
 
 
 def best_split_classification(
     XT: np.ndarray,
-    y: np.ndarray,
-    orders: np.ndarray,
-    features: np.ndarray,
-    parent_counts: np.ndarray,
-    parent_impurity: float,
+    searches: Sequence[SplitSearch],
     criterion: str,
     min_samples_leaf: int,
     min_impurity_decrease: float,
-) -> tuple[int, float, float] | None:
-    """Best ``(feature, threshold, decrease)`` over a node's candidate features.
+) -> list[tuple[int, float] | None]:
+    """Best ``(candidate, threshold)`` of every node search, in one call.
 
-    ``XT`` is the training matrix transposed (features × base rows), ``y`` the
-    base-row labels and ``orders`` the node's ``(features, n)`` sorted member
-    ids.  Every candidate feature's thresholds are scored in one cumulative
-    one-hot count pass over a ``(2, features, n - 1, classes)`` block of
-    left/right counts; blocks are sized by :data:`DEFAULT_CHUNK_ELEMENTS`.
-    The winner is the first maximum in (candidate order, position) order —
-    the historical per-feature loop's strict ``score > best`` rule, which
-    keeps the earliest feature and the earliest position among equal scores.
-    Returns ``None`` when no position is a valid split.
+    ``XT`` is the training matrix transposed (features × base rows); the
+    searches are the nodes that a growth step of several trees examines.
+    Searches sharing a label array and a class count are scored together:
+    their candidates' sorted rows are laid end to end, one-hot label counts
+    are summed cumulatively along them (reset at each candidate's start) and
+    the impurities of both sides of every split between distinct values are
+    computed in a ``(side, class, position)`` block, blocks bounded by
+    :data:`DEFAULT_CHUNK_ELEMENTS`.  Every elementwise operation, and the
+    order of the class sum (:func:`_class_sum`), is the one the per-node
+    class-last pass used, so impurities and thresholds keep their bits.
+
+    A search's winner is its first maximum in (candidate order, position)
+    order — the historical per-feature loop's strict ``score > best`` rule,
+    which keeps the earliest feature and the earliest position among equal
+    scores; ``candidate`` indexes ``search.features``.  A search gets
+    ``None`` when none of its positions is a valid split.  Every search must
+    hold at least two rows.
     """
-    n = orders.shape[1]
-    if n < 2:
-        return None
-    n_classes = parent_counts.shape[0]
-    sizes = np.empty((2, n - 1))  # samples left / right of each position
-    sizes[0] = np.arange(1, n)
-    np.subtract(n, sizes[0], out=sizes[1])
-    n_left, n_right = sizes
-    allowed = None
-    if min_samples_leaf > 1:
-        allowed = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-        if not allowed.any():
-            return None
+    results: list[tuple[int, float] | None] = [None] * len(searches)
+    best = [-np.inf] * len(searches)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, search in enumerate(searches):
+        groups.setdefault((id(search.labels), len(search.counts)), []).append(i)
+    for (_, n_classes), group in groups.items():
+        for block in _split_blocks(searches, group, n_classes):
+            _score_block(
+                XT, searches, block, n_classes, criterion, min_samples_leaf,
+                min_impurity_decrease, best, results,
+            )
+    return results
+
+
+def _score_block(
+    XT: np.ndarray,
+    searches: Sequence[SplitSearch],
+    block: list[tuple[int, int, int]],
+    n_classes: int,
+    criterion: str,
+    min_samples_leaf: int,
+    min_impurity_decrease: float,
+    best: list[float],
+    results: list,
+) -> None:
+    """Score one block of :func:`best_split_classification`; keep each
+    search's best in ``best``/``results`` (strict ``>``: earlier blocks win)."""
+    labels = searches[block[0][0]].labels
+    pieces = [(searches[i], a, b) for i, a, b in block]
+    widths = np.array([b - a for _, a, b in block])
+    lengths = np.array([search.rows.shape[1] for search, _, _ in pieces])
+    # Every candidate's sorted rows end to end: one segment per candidate.
+    ids = np.concatenate([search.rows[a:b] for search, a, b in pieces], axis=None)
+    seg_len = np.repeat(lengths, widths)
+    seg_end = np.cumsum(seg_len)
+    features = np.concatenate([search.features[a:b] for search, a, b in pieces])
+    flat = np.repeat(features * XT.shape[1], seg_len)
+    flat += ids
+    values = np.take(XT.ravel(), flat)
+    # Position ``e`` splits element e from e + 1 of one segment; only those
+    # between distinct values can win, and only they are scored below.
+    distinct = np.empty(ids.size, dtype=bool)
+    np.not_equal(values[:-1], values[1:], out=distinct[:-1])
+    distinct[seg_end - 1] = False
+    at = np.flatnonzero(distinct)
+    if not at.size:
+        return
+    sizes = widths * lengths
+    piece_end = np.cumsum(sizes)
+    piece = np.searchsorted(piece_end, at, side="right")
+    offset = at - (piece_end - sizes)[piece]  # from the piece's first element
+    n = lengths[piece]
+    sides = np.empty((2, at.size))  # samples left / right of each position
+    sides[0] = offset % n + 1
+    np.subtract(n, sides[0], out=sides[1])
+    n_left, n_right = sides
+    # Cumulative one-hot label counts along each segment, for all classes
+    # but the last (the left side's size minus the others gives it):
+    # subtracting the previous segment's total (its node's counts) at every
+    # segment start restarts the running sum.  Every count is an exact
+    # integer, so how it is added up does not matter.
+    node_counts = np.array([search.counts for search, _, _ in pieces], dtype=np.float64).T
+    hot = np.empty((n_classes - 1, ids.size))
+    np.equal(np.take(labels, ids), np.arange(n_classes - 1)[:, None], out=hot)
+    hot[:, seg_end[:-1]] -= np.repeat(node_counts[:-1], widths, axis=1)[:, :-1]
+    np.cumsum(hot, axis=1, out=hot)
+    counts = np.empty((2, n_classes, at.size))  # (side, class, position)
+    # Every index is in range; the default mode="raise" would buffer `out`.
+    np.take(hot, at, axis=1, out=counts[0, :-1], mode="clip")
+    np.subtract(n_left, counts[0, :-1].sum(axis=0), out=counts[0, -1])
+    np.subtract(np.take(node_counts, piece, axis=1), counts[0], out=counts[1])
+    # The impurity of every side, in place where it can be: fresh arrays of
+    # this size cost more to allocate than to fill.
+    if criterion == "gini":
+        p = np.divide(counts, sides[:, None], out=counts)
+        impurity = 1.0 - _class_sum(np.multiply(p, p, out=p))
+    else:
+        empty = counts == 0
+        p = np.divide(counts, sides[:, None], out=counts)
+        terms = np.maximum(p, empty)  # p, or 1.0 (log2 0) for an empty class
+        np.log2(terms, out=terms)
+        terms *= p
+        impurity = -_class_sum(terms)
+    parent = np.array([search.impurity for search, _, _ in pieces])[piece]
+    decrease = parent - (n_left * impurity[0] + n_right * impurity[1]) / n
     if criterion == "gain_ratio":
         p_left = n_left / n
         p_right = n_right / n
         split_info = -(p_left * np.log2(p_left) + p_right * np.log2(p_right))
-    classes = np.arange(n_classes)
-    best: tuple[int, float, float] | None = None
-    best_score = -np.inf
-    for block in query_chunks(len(features), 2 * n * n_classes):
-        feats = features[block]
-        rows = orders[feats]
-        values = XT[feats[:, None], rows]
-        valid = values[:, :-1] != values[:, 1:]
-        if allowed is not None:
-            valid &= allowed
-        if not valid.any():
+        score = np.where(split_info > 0, decrease / split_info, 0.0)
+    else:
+        score = decrease
+    valid = decrease > min_impurity_decrease
+    if min_samples_leaf > 1:
+        valid &= (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+    masked = np.where(valid, score, -np.inf)
+    # A piece's positions are contiguous and candidate-major, so its first
+    # maximum is the historical loop's winner among them.
+    bounds = np.searchsorted(piece, np.arange(len(block) + 1))
+    for (i, a, _), lo, hi, length in zip(block, bounds[:-1], bounds[1:], lengths):
+        if lo == hi:
             continue
-        # Cumulative one-hot label counts: the left side of position i holds
-        # sorted samples 0..i, exactly the historical loop's ``left_counts``.
-        counts = np.empty((2, len(feats), n - 1, n_classes))
-        np.cumsum(y[rows[:, :-1], None] == classes, axis=1, dtype=np.float64, out=counts[0])
-        np.subtract(parent_counts, counts[0], out=counts[1])
-        impurity = _impurity_matrix(counts, sizes, criterion)
-        decrease = parent_impurity - (n_left * impurity[0] + n_right * impurity[1]) / n
-        if criterion == "gain_ratio":
-            score = np.where(split_info > 0, decrease / split_info, 0.0)
-        else:
-            score = decrease
-        valid &= decrease > min_impurity_decrease
-        masked = np.where(valid, score, -np.inf)
-        f, i = divmod(int(masked.argmax()), n - 1)  # first maximum, row-major
-        if masked[f, i] > best_score:  # strict: earlier blocks win ties
-            best_score = masked[f, i]
-            threshold = float((values[f, i] + values[f, i + 1]) / 2.0)
-            best = (int(feats[f]), threshold, float(decrease[f, i]))
-    return best
+        q = lo + int(masked[lo:hi].argmax())
+        if masked[q] > best[i]:
+            best[i] = masked[q]
+            e = at[q]
+            results[i] = (a + int(offset[q]) // int(length), float((values[e] + values[e + 1]) / 2.0))
 
 
 def best_split_regression(

@@ -1,6 +1,6 @@
 """Decision-tree learners.
 
-A single recursive tree engine (:class:`DecisionTreeClassifier`) supports the
+A single tree engine (:class:`DecisionTreeClassifier`) supports the
 splitting criteria, feature subsampling and depth/size controls needed to
 express the Weka tree family referenced by the paper's catalogue (Table IV):
 ``J48`` (C4.5, gain-ratio), ``SimpleCart`` (Gini), ``REPTree`` (reduced-error
@@ -11,13 +11,21 @@ budget) and ``DecisionStump`` (depth 1).
 The fitting and prediction inner loops run on the vectorized kernels of
 :mod:`repro.learners.kernels`: the stable per-feature sort orders are one
 matrix computed once per fit (and shared by every member of a tree
-ensemble) instead of re-sorting at every node, each node scores every
-candidate feature's thresholds in one cumulative-count pass, and prediction
-walks the flattened tree arrays for a whole matrix at a time.  A direct fit
-and an ensemble member fit share one growth path (:meth:`_grow`).  Results
-are identical to the historical pure-Python implementation (frozen in
-``tests/support/reference_learners.py`` and pinned by
-``tests/learners/test_kernel_equivalence.py``).
+ensemble) instead of re-sorting at every node, and prediction walks the
+flattened tree arrays for a whole matrix at a time.  Trees grow in one loop
+(:func:`_grow`) over a batch of trees: a lone tree or an AdaBoostM1 round is
+a batch of one, and the members of RandomForest, ExtraTrees, Bagging and
+RandomSubSpace grow :data:`LOCKSTEP_MEMBERS` at a time
+(:func:`grow_members`).  Each step takes every growing tree's next node in
+preorder, draws its candidate features from that tree's own RNG, and scores
+all of the step's nodes in one kernel call, so every tree is the one the
+historical node-by-node recursion built.  That recursion, frozen in
+``tests/support/reference_learners.py``, is matched bit for bit
+(``tests/learners/test_kernel_equivalence.py``) for gini at any class count
+and for entropy and gain ratio below 8 classes; from 8 classes on the
+recursion's entropy, a sum over the non-empty classes only, rounds
+differently, and ``tests/learners/test_tree_golden.py`` pins those fits to a
+fixture.
 """
 
 from __future__ import annotations
@@ -71,6 +79,164 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - (p * p).sum())
 
 
+#: Ensemble members grown side by side: enough that a growth step's split
+#: searches share one kernel call, few enough that the pending sort orders of
+#: the members growing at once stay small.
+LOCKSTEP_MEMBERS = 16
+
+
+class _Growth:
+    """One tree's growth state: its stack of pending nodes, RNG and counters.
+
+    ``labels`` are the labels of the base rows, ``orders`` the tree's sorted
+    rows (one row per tree feature) and ``features`` the row of the shared
+    ``XT`` that holds each tree feature.  The stack yields nodes in preorder,
+    the order the historical recursion built them in, so the tree's RNG draws
+    and its ``max_nodes`` budget see the same sequence.
+    """
+
+    def __init__(
+        self,
+        tree: "DecisionTreeClassifier",
+        labels: np.ndarray,
+        orders: np.ndarray,
+        features: np.ndarray,
+    ) -> None:
+        self.tree = tree
+        self.labels = labels
+        self.features = features
+        self.n_classes = int(len(tree.classes_))
+        self.rng = np.random.default_rng(tree.random_state)
+        self.n_internal = 0
+        self.root = _Node(prediction=None)
+        self.stack = [(self.root, orders, 0)]
+        self.pending: tuple | None = None  # the node whose search is out
+
+    def next_search(self) -> kernels.SplitSearch | None:
+        """Pop nodes until one needs a split search; ``None`` once grown.
+
+        Every popped node gets its class distribution; a node that stops
+        (pure, too small, too deep or over the node budget) stays a leaf.
+        The candidate features are drawn here, from this tree's RNG.
+        """
+        tree = self.tree
+        while self.stack:
+            node, orders, depth = self.stack.pop()
+            counts = np.bincount(self.labels[orders[0]], minlength=self.n_classes)
+            distribution = counts.astype(np.float64)
+            node.prediction = distribution / distribution.sum()
+            if (
+                np.count_nonzero(counts) <= 1
+                or orders.shape[1] < tree.min_samples_split
+                or (tree.max_depth is not None and depth >= tree.max_depth)
+                or (tree.max_nodes is not None and self.n_internal >= tree.max_nodes)
+            ):
+                continue
+            candidates = kernels.candidate_features(tree.max_features, orders.shape[0], self.rng)
+            self.pending = node, orders, depth, candidates
+            return kernels.SplitSearch(
+                self.labels,
+                orders[candidates],
+                self.features[candidates],
+                counts,
+                tree._impurity(counts),
+            )
+        return None
+
+    def split(self, XT: np.ndarray, split: tuple[int, float] | None) -> None:
+        """Apply the pending search's result: split the node, or leave it a
+        leaf when there is no valid split or one side would be empty."""
+        if split is None:
+            return
+        node, orders, depth, candidates = self.pending
+        candidate, threshold = split
+        feature = int(candidates[candidate])
+        # Base-level membership mask of the left child; node orders only hold
+        # node members, so filtering by it partitions exactly this node.
+        mask = XT[self.features[feature]] <= threshold
+        node_mask = mask[orders[0]]
+        if node_mask.all() or not node_mask.any():
+            return
+        self.n_internal += 1
+        node.feature = feature
+        node.threshold = threshold
+        node.left = _Node(prediction=None)
+        node.right = _Node(prediction=None)
+        # Right below left, so the left subtree is grown first.
+        self.stack.append((node.right, kernels.filter_orders(orders, ~mask), depth + 1))
+        self.stack.append((node.left, kernels.filter_orders(orders, mask), depth + 1))
+
+    def finish(self) -> None:
+        self.tree.tree_ = self.root
+        self.tree._flat = kernels.flatten_tree(self.root, self.n_classes)
+
+
+def _grow(growths: list[_Growth], XT: np.ndarray) -> None:
+    """Grow trees in lockstep, each bit for bit as if grown alone.
+
+    Each step takes the next node needing a split search from every tree
+    still growing and scores all of them in one
+    :func:`kernels.best_split_classification` call.  The trees share ``XT``
+    (features × base rows, C-contiguous) and their split hyperparameters:
+    they are one tree, or members cloned from one base.
+    """
+    tree = growths[0].tree
+    growing = growths
+    while True:
+        searches = [growth.next_search() for growth in growing]
+        growing = [growth for growth, search in zip(growing, searches) if search is not None]
+        if not growing:
+            break
+        splits = kernels.best_split_classification(
+            XT,
+            [search for search in searches if search is not None],
+            tree.criterion,
+            int(tree.min_samples_leaf),
+            tree.min_impurity_decrease,
+        )
+        for growth, split in zip(growing, splits):
+            growth.split(XT, split)
+    for growth in growths:
+        growth.finish()
+
+
+def grow_members(
+    members: list[tuple["DecisionTreeClassifier", np.ndarray | None, np.ndarray | None]],
+    XT: np.ndarray,
+    y: np.ndarray,
+    orders: np.ndarray,
+) -> None:
+    """Fit an ensemble's member trees on its shared training data.
+
+    ``XT`` is the ensemble's encoded training matrix transposed (features ×
+    rows, C-contiguous), ``y`` its encoded labels and ``orders`` the sort
+    orders of ``XT``'s rows, computed once per ensemble fit.  Each member is
+    ``(tree, counts, features)``: ``counts[i]`` is how many times base row
+    ``i`` appears in the member's sample (``None``: every row once), and
+    ``features`` the columns the member sees (``None``: all), which stay rows
+    of the shared ``XT``.  A member's ``classes_`` are the labels its sample
+    holds, re-encoded to ``0..k-1`` — exactly what refitting on the
+    materialised ``X[idx]``/``X[:, features]`` produced, missing classes
+    included.  Members grow :data:`LOCKSTEP_MEMBERS` at a time.
+    """
+    for start in range(0, len(members), LOCKSTEP_MEMBERS):
+        growths = []
+        for tree, counts, features in members[start : start + LOCKSTEP_MEMBERS]:
+            member_orders = orders if features is None else orders[features]
+            if counts is not None:
+                member_orders = kernels.expand_orders(member_orders, counts)
+            tree.classes_ = np.unique(y[member_orders[0]])
+            tree.n_features_in_ = member_orders.shape[0]
+            labels = y
+            if tree.classes_[-1] + 1 != len(tree.classes_):
+                # Only sampled rows are ever read, so unsampled labels may map
+                # anywhere.
+                labels = np.searchsorted(tree.classes_, y)
+            rows = np.arange(XT.shape[0]) if features is None else features
+            growths.append(_Growth(tree, labels, member_orders, rows))
+        _grow(growths, XT)
+
+
 class DecisionTreeClassifier(BaseClassifier):
     """CART/C4.5-style binary decision tree over numeric features.
 
@@ -118,111 +284,11 @@ class DecisionTreeClassifier(BaseClassifier):
             return _gini(counts)
         return _entropy(counts)
 
-    def _best_split(
-        self,
-        XT: np.ndarray,
-        y: np.ndarray,
-        orders: np.ndarray,
-        counts: np.ndarray,
-        impurity: float,
-        rng: np.random.Generator,
-    ) -> tuple[int, float, float] | None:
-        """Return ``(feature, threshold, impurity_decrease)`` or ``None``.
-
-        ``orders`` holds the node's sample ids in stable sorted order, one row
-        per feature, and ``counts``/``impurity`` are the node's own, computed
-        once by :meth:`_build`.  The kernel scores every candidate feature's
-        thresholds in one pass; no ``argsort`` happens here.  Feature
-        candidates are drawn with the same RNG calls as the historical
-        per-node loop; ties keep the earliest feature and earliest position.
-        """
-        return kernels.best_split_classification(
-            XT,
-            y,
-            orders,
-            kernels.candidate_features(self.max_features, XT.shape[0], rng),
-            counts,
-            impurity,
-            self.criterion,
-            int(self.min_samples_leaf),
-            self.min_impurity_decrease,
-        )
-
-    def _build(
-        self,
-        XT: np.ndarray,
-        y: np.ndarray,
-        orders: np.ndarray,
-        depth: int,
-        rng: np.random.Generator,
-    ) -> _Node:
-        counts = np.bincount(y[orders[0]], minlength=self._n_classes)
-        distribution = counts.astype(np.float64)
-        node = _Node(prediction=distribution / distribution.sum())
-        if (
-            np.count_nonzero(counts) <= 1
-            or orders.shape[1] < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or (self.max_nodes is not None and self._n_internal >= self.max_nodes)
-        ):
-            return node
-        split = self._best_split(XT, y, orders, counts, self._impurity(counts), rng)
-        if split is None:
-            return node
-        feature, threshold, _ = split
-        # Base-level membership mask of the left child; node orders only hold
-        # node members, so filtering by it partitions exactly this node.
-        mask = XT[feature] <= threshold
-        node_mask = mask[orders[0]]
-        if node_mask.all() or not node_mask.any():
-            return node
-        self._n_internal += 1
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(XT, y, kernels.filter_orders(orders, mask), depth + 1, rng)
-        node.right = self._build(XT, y, kernels.filter_orders(orders, ~mask), depth + 1, rng)
-        return node
-
-    def _grow(self, XT: np.ndarray, y: np.ndarray, orders: np.ndarray) -> None:
-        """The one growth path: ``_fit`` and ensemble members both end here."""
-        self._n_classes = int(len(self.classes_))
-        self._n_internal = 0
-        rng = np.random.default_rng(self.random_state)
-        self.tree_ = self._build(XT, y, orders, depth=0, rng=rng)
-        self._flat = kernels.flatten_tree(self.tree_, self._n_classes)
-
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         # Per-feature stable sort orders, computed once per fit and filtered
-        # down the recursion — no node ever sorts again.
-        self._grow(np.ascontiguousarray(X.T), y, kernels.feature_orders(X))
-
-    def _fit_from_base(
-        self,
-        XT: np.ndarray,
-        y: np.ndarray,
-        orders: np.ndarray,
-        counts: np.ndarray | None = None,
-    ) -> "DecisionTreeClassifier":
-        """Ensemble member fast path: fit on a multiset of pre-validated rows.
-
-        ``XT`` is the ensemble's encoded training matrix transposed (features
-        × rows), ``y`` its encoded labels and ``orders`` the sort orders of
-        ``XT``'s rows, computed once per ensemble fit.  ``counts[i]`` is how
-        many times base row ``i`` appears in this member's sample (``None``:
-        every row once).  The member's ``classes_`` are the labels its sample
-        holds, re-encoded to ``0..k-1`` — exactly what refitting on the
-        materialised ``X[idx]``/``y[idx]`` produced, missing classes included.
-        """
-        if counts is not None:
-            orders = kernels.expand_orders(orders, counts)
-        self.classes_ = np.unique(y[orders[0]])
-        self.n_features_in_ = XT.shape[0]
-        if self.classes_[-1] + 1 != len(self.classes_):
-            # Only sampled rows are ever read, so unsampled labels may map
-            # anywhere.
-            y = np.searchsorted(self.classes_, y)
-        self._grow(XT, y, orders)
-        return self
+        # down to every node — no node ever sorts again.
+        XT = np.ascontiguousarray(X.T)
+        _grow([_Growth(self, y, kernels.feature_orders(X), np.arange(X.shape[1]))], XT)
 
     # -- prediction ----------------------------------------------------------------
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Tests for hyperparameter spaces (sampling, mutation, encoding, conditions)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hpo import space as space_module
 from repro.hpo.space import (
     BoolParam,
     CategoricalParam,
@@ -166,3 +169,61 @@ class TestSpaceProperties:
         value = param.from_unit(u)
         assert 1.0 <= value <= 100.0
         assert param.to_unit(value) == pytest.approx(u, abs=1e-9)
+
+
+def _outcome(call):
+    """``repr`` and type of ``call()``'s value, or the type it raised."""
+    try:
+        value = call()
+    except (ValueError, OverflowError) as exc:
+        return "raises", type(exc)
+    return repr(value), type(value)
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 0.0, 1.0])
+
+
+class TestClipMatchesNumpy:
+    """The parameters clamp Python scalars with ``min``/``max``; every method
+    must return what the ``np.clip`` forms returned: same value, same type,
+    NaN and signed zeros included, and the same exception where one raised."""
+
+    @given(value=_any_float, low=st.floats(-1e6, 1e6), width=st.floats(0.0, 1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_clip_is_np_clip(self, value, low, width):
+        high = low + width
+        assert repr(float(space_module._clip(value, low, high))) == repr(
+            float(np.clip(value, low, high))
+        )
+
+    @given(
+        low=st.floats(1e-6, 1e3),
+        width=st.floats(1e-3, 1e3),
+        log=st.booleans(),
+        u=_any_float,
+        value=_any_float,
+        whole=st.integers(-10**6, 10**6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_methods_match_the_np_clip_forms(self, low, width, log, u, value, whole, seed):
+        real = FloatParam("x", low, low + width, log=log)
+        count = IntParam("n", 1 + int(low), 2 + int(low + width), log=log)
+        choice = CategoricalParam("c", ["a", "b", "c", "d"])
+        calls = [
+            lambda: real.from_unit(u),
+            lambda: real.to_unit(value),
+            lambda: real.mutate(value, np.random.default_rng(seed)),
+            lambda: real.default(),
+            lambda: count.from_unit(u),
+            lambda: count.to_unit(whole),
+            lambda: count.to_unit(value),
+            lambda: count.sample(np.random.default_rng(seed)),
+            lambda: count.mutate(whole, np.random.default_rng(seed)),
+            lambda: count.default(),
+            lambda: choice.from_unit(u),
+        ]
+        fast = [_outcome(call) for call in calls]
+        with mock.patch.object(space_module, "_clip", np.clip):
+            slow = [_outcome(call) for call in calls]
+        assert fast == slow

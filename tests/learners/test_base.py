@@ -1,16 +1,20 @@
 """Tests for the estimator base protocol (fit/predict/params/validation)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.learners.base import (
     BaseClassifier,
+    BaseEstimator,
     NotFittedError,
     check_array,
     check_X_y,
     clone,
 )
-from repro.learners.tree import J48
+from repro.learners.forest import RandomForest
+from repro.learners.tree import DecisionTreeClassifier, J48
 from repro.learners.rules import ZeroR
 
 
@@ -107,3 +111,61 @@ class TestBaseProtocol:
     def test_n_classes_property(self, simple_xy):
         X, y = simple_xy
         assert J48().fit(X, y).n_classes_ == len(np.unique(y))
+
+
+def _signature_params(model) -> dict:
+    """``get_params`` as it read the signature on every call."""
+    names = [
+        name
+        for name, parameter in inspect.signature(type(model).__init__).parameters.items()
+        if name != "self"
+        and parameter.kind not in (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
+    ]
+    return {name: getattr(model, name) for name in names}
+
+
+class TestParamNamesCache:
+    def test_each_class_reads_its_own_signature_once(self, monkeypatch):
+        class Parent(BaseEstimator):
+            def __init__(self, a=1, b=2):
+                self.a = a
+                self.b = b
+
+        class Child(Parent):
+            def __init__(self, c=3, **kwargs):
+                super().__init__(**kwargs)
+                self.c = c
+
+        class Same(Parent):
+            pass
+
+        reads = []
+        real = inspect.signature
+        monkeypatch.setattr(inspect, "signature", lambda f: reads.append(f) or real(f))
+        assert Parent().get_params() == {"a": 1, "b": 2}
+        assert Parent(a=5).get_params() == {"a": 5, "b": 2}
+        assert Child(c=4, a=0).get_params() == {"c": 4}
+        assert Same(b=7).get_params() == {"a": 1, "b": 7}
+        assert Same().get_params() == {"a": 1, "b": 2}
+        assert len(reads) == 3
+
+    @pytest.mark.parametrize(
+        "model",
+        [DecisionTreeClassifier(max_depth=2), J48(max_depth=3), RandomForest(n_estimators=4)],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_clone_set_params_and_repr_are_unchanged(self, model):
+        expected = _signature_params(model)
+        assert model.get_params() == expected
+        assert clone(model).get_params() == expected
+        assert repr(model) == (
+            f"{type(model).__name__}("
+            + ", ".join(f"{k}={v!r}" for k, v in sorted(expected.items()))
+            + ")"
+        )
+        with pytest.raises(ValueError) as error:
+            model.set_params(bogus=1)
+        assert str(error.value) == (
+            f"invalid parameter 'bogus' for {type(model).__name__}; "
+            f"valid parameters are {sorted(expected)}"
+        )
