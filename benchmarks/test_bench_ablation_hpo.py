@@ -11,9 +11,9 @@ with the better of the two fixed choices.
 from __future__ import annotations
 
 from repro.evaluation import format_table
+from repro.execution import CrossValObjective
 from repro.hpo import BayesianOptimization, Budget, GeneticAlgorithm, HPOProblem
 from repro.hpo.selector import HPOTechniqueSelector
-from repro.learners.validation import cross_val_accuracy
 
 BUDGET_EVALS = 20
 
@@ -24,9 +24,7 @@ def test_bench_ablation_hpo_choice(benchmark, bench_automodel, bench_registry, b
     spec = bench_registry.get(algorithm)
     data = dataset.subsample(150, random_state=0)
     X, y = data.to_matrix()
-
-    def objective(config):
-        return cross_val_accuracy(spec.build(config), X, y, cv=3, random_state=0)
+    objective = CrossValObjective(spec.build, X, y, cv=3, random_state=0)
 
     optimizers = {
         "GA (forced)": GeneticAlgorithm(population_size=10, n_generations=10, random_state=0),

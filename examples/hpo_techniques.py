@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.datasets import make_hypercube_rules
 from repro.evaluation import format_table
+from repro.execution import CrossValObjective
 from repro.hpo import (
     BayesianOptimization,
     Budget,
@@ -25,7 +26,6 @@ from repro.hpo import (
     choose_hpo_technique,
 )
 from repro.learners import default_registry
-from repro.learners.validation import cross_val_accuracy
 
 
 def main() -> None:
@@ -35,10 +35,7 @@ def main() -> None:
         "hpo-demo", n_records=200, n_numeric=8, n_classes=3, noise=0.2, random_state=0
     )
     X, y = dataset.to_matrix()
-
-    def objective(config: dict) -> float:
-        return cross_val_accuracy(spec.build(config), X, y, cv=3, random_state=0)
-
+    objective = CrossValObjective(spec.build, X, y, cv=3, random_state=0)
     problem = HPOProblem(spec.space, objective, name="tune-random-forest")
     budget_evaluations = 16
 

@@ -47,19 +47,11 @@ ALGORITHM_KEY = "__algorithm__"
 _SEPARATOR = "::"
 
 
-def _mangle_condition(condition, algorithm: str):
-    """Rewrite a condition's parent name(s) into the joint-space namespace."""
-    if isinstance(condition, AndCondition):
-        return AndCondition(
-            tuple(_mangle_condition(c, algorithm) for c in condition.conditions)
-        )
-    return Condition(f"{algorithm}{_SEPARATOR}{condition.parent}", condition.values)
-
-
 def joint_space(registry: AlgorithmRegistry) -> ConfigSpace:
     """Hierarchical CASH space: algorithm choice + all per-algorithm hyperparameters.
 
-    A parameter's own activation condition (pipeline specs gate e.g.
+    Each algorithm's space is namespaced ``<algorithm>::<name>``.  A
+    parameter's own activation condition (pipeline specs gate e.g.
     ``encoder:min_frequency`` on ``encoder:group_rare``) is preserved — the
     joint space requires *both* the root selecting the algorithm and the
     original condition, so dead knobs of unselected branches never burn
@@ -67,30 +59,18 @@ def joint_space(registry: AlgorithmRegistry) -> ConfigSpace:
     """
     space = ConfigSpace([CategoricalParam(ALGORITHM_KEY, registry.names)])
     for spec in registry:
-        for param in spec.space:
-            mangled = f"{spec.name}{_SEPARATOR}{param.name}"
-            # Re-wrap the parameter under its mangled name via a shallow copy.
-            clone = type(param).__new__(type(param))
-            clone.__dict__.update(param.__dict__)
-            clone.name = mangled
-            gate = Condition(ALGORITHM_KEY, (spec.name,))
-            original = spec.space.condition(param.name)
-            if original is not None:
-                condition = AndCondition((gate, _mangle_condition(original, spec.name)))
-            else:
-                condition = gate
-            space.add(clone, condition=condition)
+        gate = Condition(ALGORITHM_KEY, (spec.name,))
+        branch = spec.space.prefixed(spec.name, sep=_SEPARATOR)
+        for param in branch:
+            original = branch.condition(param.name)
+            space.add(param, condition=gate if original is None else AndCondition((gate, original)))
     return space
 
 
 def split_joint_config(config: dict[str, Any]) -> tuple[str, dict[str, Any]]:
     """Extract (algorithm, its own hyperparameters) from a joint configuration."""
     algorithm = config[ALGORITHM_KEY]
-    prefix = f"{algorithm}{_SEPARATOR}"
-    params = {
-        key[len(prefix):]: value for key, value in config.items() if key.startswith(prefix)
-    }
-    return algorithm, params
+    return algorithm, ConfigSpace.split_config(config, sep=_SEPARATOR).get(algorithm, {})
 
 
 class JointBuilder:
@@ -200,8 +180,7 @@ class AutoWekaBaseline:
             best_score = float(result.best_score)
         else:
             best_joint = space.default_configuration()
-            error = resolve_scorer(self.metric, self.task).error_score
-            best_score = error if np.isfinite(error) else 0.0
+            best_score = resolve_scorer(self.metric, self.task).error_score
         algorithm, params = split_joint_config(best_joint)
         estimator: BaseClassifier | None = None
         if fit_final_estimator:

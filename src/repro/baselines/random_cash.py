@@ -13,6 +13,7 @@ from ..evaluation.performance import PerformanceTable
 from ..execution import estimator_engine
 from ..hpo.base import Budget, HPOProblem
 from ..hpo.genetic import GeneticAlgorithm
+from ..learners.metrics import resolve_scorer
 from ..learners.pipeline import training_matrix
 from ..learners.registry import AlgorithmRegistry
 from ..learners.regression_registry import registry_for_task
@@ -116,10 +117,11 @@ class SingleBestBaseline:
         )
         budget = Budget(max_evaluations=max_evaluations, time_limit=time_limit)
         result = optimizer.optimize(problem, budget)
-        config = (
-            result.best_config if np.isfinite(result.best_score) else spec.default_config()
-        )
-        score = float(result.best_score) if np.isfinite(result.best_score) else 0.0
+        if np.isfinite(result.best_score):
+            config, score = result.best_config, float(result.best_score)
+        else:
+            config = spec.default_config()
+            score = resolve_scorer(self.metric, self.task).error_score
         return CASHSolution(
             algorithm=self.algorithm,
             config=config,

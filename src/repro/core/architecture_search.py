@@ -20,14 +20,13 @@ from typing import Callable
 
 import numpy as np
 
-from .. import obs
 from ..obs.profiler import profiled
 from ..datasets.dataset import Dataset
+from ..execution.folds import FoldPlan
 from ..hpo.base import Budget, HPOProblem
 from ..hpo.genetic import GeneticAlgorithm
 from ..hpo.space import CategoricalParam, ConfigSpace, Condition, FloatParam, IntParam
 from ..learners.neural import MLPRegressor
-from ..learners.validation import KFold
 from ..metafeatures.extractor import FeatureExtractor
 from .concepts import KnowledgeBase
 
@@ -85,6 +84,12 @@ def one_hot_prime(
             if name != algorithm and not applicability(name, dataset):
                 target[position] = -1.0
     return target
+
+
+def _neg_mse(Y: np.ndarray, predictions: np.ndarray) -> float:
+    """Negated mean squared error of one fold's predictions (the GA maximises)."""
+    predictions = np.asarray(predictions).reshape(len(Y), -1)
+    return -float(np.mean((predictions - Y) ** 2))
 
 
 @dataclass
@@ -150,27 +155,6 @@ class ArchitectureSearch:
             random_state=self.random_state,
         )
 
-    def _cv_neg_mse(self, config: dict, X: np.ndarray, Y: np.ndarray) -> float:
-        """Negative CV mean squared error (maximised by the GA)."""
-        splitter = KFold(
-            n_splits=max(2, min(self.cv, X.shape[0] // 2)),
-            shuffle=True,
-            random_state=self.random_state,
-        )
-        errors: list[float] = []
-        for train_idx, test_idx in splitter.split(X):
-            model = self._build_regressor(config)
-            try:
-                model.fit(X[train_idx], Y[train_idx])
-                predictions = model.predict(X[test_idx])
-                predictions = predictions.reshape(len(test_idx), -1)
-                errors.append(float(np.mean((predictions - Y[test_idx]) ** 2)))
-            except Exception as exc:  # noqa: BLE001 — a failed fold scores worst
-                obs.error_event("architecture.cv_fold", exc)
-                errors.append(float("inf"))
-        mse = float(np.mean(errors)) if errors else float("inf")
-        return -mse
-
     # -- Algorithm 3 ------------------------------------------------------------------------
     def search(
         self, knowledge: KnowledgeBase, extractor: FeatureExtractor
@@ -181,9 +165,11 @@ class ArchitectureSearch:
         labels = knowledge.algorithm_labels
         X = extractor.transform_many(knowledge.datasets)
         Y = self._targets(knowledge, labels)
+        plan = FoldPlan.kfold(Y, cv=self.cv, random_state=self.random_state)
 
         def objective(config: dict) -> float:
-            return self._cv_neg_mse(config, X, Y)
+            # A failed fold scores -inf, so a failing architecture ranks last.
+            return plan.score(self._build_regressor(config), X, Y, _neg_mse, float("-inf"))
 
         problem = HPOProblem(self.space, objective, name="architecture-search")
         optimizer = GeneticAlgorithm(

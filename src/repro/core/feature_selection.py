@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..execution.folds import FoldPlan
 from ..hpo.base import Budget, HPOProblem
 from ..hpo.genetic import GeneticAlgorithm
 from ..hpo.space import BoolParam, ConfigSpace
 from ..learners.neural import MLPClassifier
-from ..learners.validation import cross_val_accuracy
 from ..metafeatures.extractor import FeatureExtractor
 from .concepts import KnowledgeBase
 
@@ -64,7 +64,7 @@ class FeatureSelector:
 
     # -- objective --------------------------------------------------------------------
     def _subset_score(
-        self, mask: list[bool], features: np.ndarray, labels: np.ndarray
+        self, mask: list[bool], features: np.ndarray, labels: np.ndarray, plan: FoldPlan
     ) -> float:
         """CV accuracy of the default MLP on the selected feature columns."""
         columns = np.flatnonzero(mask)
@@ -76,9 +76,7 @@ class FeatureSelector:
             max_iter=self.mlp_max_iter,
             random_state=self.random_state,
         )
-        return cross_val_accuracy(
-            model, features[:, columns], labels, cv=self.cv, random_state=self.random_state
-        )
+        return plan.score(model, features[:, columns], labels)
 
     # -- Algorithm 2 -------------------------------------------------------------------
     def select(self, knowledge: KnowledgeBase) -> FeatureSelectionResult:
@@ -92,12 +90,14 @@ class FeatureSelector:
         features = self.extractor.transform_many(knowledge.datasets)
         labels = knowledge.label_indices()
         names = self.extractor.feature_names
+        # Every subset is scored on the same folds: they depend on the labels only.
+        plan = FoldPlan.stratified(labels, cv=self.cv, random_state=self.random_state)
 
         space = ConfigSpace([BoolParam(name) for name in names])
 
         def objective(config: dict) -> float:
             mask = [bool(config[name]) for name in names]
-            return self._subset_score(mask, features, labels)
+            return self._subset_score(mask, features, labels, plan)
 
         problem = HPOProblem(space, objective, name="feature-selection")
         optimizer = GeneticAlgorithm(
@@ -112,7 +112,7 @@ class FeatureSelector:
         if not selected:
             # Degenerate search outcome: fall back to all candidate features.
             selected = list(names)
-        all_features_score = self._subset_score([True] * len(names), features, labels)
+        all_features_score = self._subset_score([True] * len(names), features, labels, plan)
         return FeatureSelectionResult(
             selected=selected,
             score=float(result.best_score),

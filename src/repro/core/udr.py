@@ -289,8 +289,7 @@ class UserDemandResponser:
         if np.isfinite(history.best_score):
             cv_score = history.best_score
         else:
-            error = resolve_scorer(self.metric, self.task).error_score
-            cv_score = error if np.isfinite(error) else 0.0
+            cv_score = resolve_scorer(self.metric, self.task).error_score
         return CASHSolution(
             algorithm=algorithm,
             config=config,

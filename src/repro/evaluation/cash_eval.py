@@ -2,10 +2,12 @@
 
 Table XIV defines ``f(T, D)`` as the 10-fold cross-validation accuracy of the
 solution ``T(D)`` (the algorithm + hyperparameter setting a CASH technique
-returns for ``D``).  :func:`evaluate_cash_tool` runs a tool under a time limit,
-re-fits the returned configuration and scores it with k-fold CV on the full
-dataset; :func:`compare_tools` runs several tools over several datasets and
-budgets, producing the rows of Table X.
+returns for ``D``).  :func:`evaluate_cash_tool` runs a tool under a time limit
+and scores the returned configuration with
+:func:`~repro.evaluation.performance.evaluate_algorithm`, the performance
+table's own CV score (R² on a regression dataset); :func:`compare_tools` runs
+several tools over several datasets and budgets, producing the rows of
+Table X.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from typing import Protocol
 
 import numpy as np
 
-from .. import obs
 from ..datasets.dataset import Dataset
-from ..learners.pipeline import training_matrix
-from ..learners.registry import AlgorithmRegistry, default_registry
-from ..learners.validation import cross_val_accuracy
+from ..learners.registry import AlgorithmRegistry
+from ..learners.regression_registry import registry_for_task
+from .performance import evaluate_algorithm
 
 __all__ = ["CASHTool", "CASHEvaluation", "evaluate_cash_tool", "compare_tools", "ComparisonResult"]
 
@@ -64,23 +65,26 @@ def evaluate_cash_tool(
     eval_max_records: int | None = 800,
     random_state: int | None = 0,
 ) -> CASHEvaluation:
-    """Run a CASH tool on ``dataset`` and compute ``f(T, D)`` for its solution."""
-    registry = registry or default_registry()
+    """Run a CASH tool on ``dataset`` and compute ``f(T, D)`` for its solution.
+
+    The solution is scored on the dataset's own task (its default metric) over
+    the catalogue for that task unless ``registry`` is given; a solution that
+    fails to re-evaluate scores the metric's ``error_score``.
+    """
+    registry = registry or registry_for_task(dataset.task)
     start = time.monotonic()
     solution = _run_tool(tool, dataset, time_limit, max_evaluations)
     elapsed = time.monotonic() - start
-    data = (
-        dataset.subsample(eval_max_records, random_state=random_state)
-        if eval_max_records
-        else dataset
+    f_score = evaluate_algorithm(
+        registry,
+        solution.algorithm,
+        dataset,
+        config=solution.config,
+        cv=cv,
+        max_records=eval_max_records,
+        random_state=random_state,
+        task=dataset.task,
     )
-    try:
-        X, y = training_matrix(data, registry.get(solution.algorithm))
-        estimator = registry.build(solution.algorithm, solution.config)
-        f_score = cross_val_accuracy(estimator, X, y, cv=cv, random_state=random_state)
-    except Exception as exc:  # noqa: BLE001 — a failed re-evaluation scores 0
-        obs.error_event("cash.evaluate", exc)
-        f_score = 0.0
     return CASHEvaluation(
         tool=tool_name,
         dataset=dataset.name,

@@ -22,7 +22,7 @@ import numpy as np
 from .. import obs
 from ..datasets.dataset import Dataset
 from ..datasets.task import resolve_task
-from ..execution import EvaluationEngine, ResultStore, WorkCoordinator, estimator_engine
+from ..execution import EvaluationEngine, FoldPlan, ResultStore, WorkCoordinator, estimator_engine
 from ..execution.objectives import objective_context_suffix
 from ..hpo.base import Budget, HPOProblem
 from ..hpo.genetic import GeneticAlgorithm
@@ -30,15 +30,8 @@ from ..learners.metrics import resolve_scorer
 from ..learners.pipeline import registry_context_suffix, training_matrix
 from ..learners.registry import AlgorithmRegistry
 from ..learners.regression_registry import registry_for_task
-from ..learners.validation import cross_val_score_folds, plain_folds, stratified_folds
 
 __all__ = ["PerformanceTable", "evaluate_algorithm", "tune_algorithm"]
-
-
-def _worst_score(task: str, metric: str | None) -> float:
-    """Finite fallback score for a failed cell (0.0 for accuracy, as always)."""
-    error = resolve_scorer(metric, task).error_score
-    return error if np.isfinite(error) else 0.0
 
 
 def evaluate_algorithm(
@@ -54,38 +47,30 @@ def evaluate_algorithm(
 ) -> float:
     """Cross-validation score of one algorithm configuration on one dataset.
 
-    Classification (the default) scores stratified-CV accuracy exactly as
-    before; ``task="regression"`` scores unstratified-CV R² (or the given
-    metric, oriented greater-is-better).  Failures (an algorithm that cannot
-    handle the dataset) score the metric's worst finite value — 0.0 for
-    accuracy, matching how the CASH searches treat crashed configurations.
+    Classification (the default) scores stratified-CV accuracy;
+    ``task="regression"`` scores unstratified-CV R² (or the given metric,
+    oriented greater-is-better).  The folds are the :class:`FoldPlan` the
+    engine's objective would draw for the same data.  Failures (an algorithm
+    that cannot handle the dataset) score the scorer's ``error_score`` — 0.0
+    for accuracy, matching how the CASH searches treat crashed configurations.
     Pipeline catalogue entries are scored on the raw attribute blocks (their
     steps preprocess per fold); bare estimators keep the encoded matrix.
     """
+    task = resolve_task(task).value
+    scorer = resolve_scorer(metric, task)
     data = dataset.subsample(max_records, random_state=random_state) if max_records else dataset
     try:
         spec = registry.get(algorithm)
     except KeyError:
         # Unknown algorithms have always scored as failures, not raised.
-        return _worst_score(task, metric)
+        return scorer.error_score
     X, y = training_matrix(data, spec)
-    task = resolve_task(task).value
-    scorer = resolve_scorer(metric, task)
     try:
-        estimator = registry.build(algorithm, config)
-        # Same fold protocol as cross_val_objective: stratified for
-        # classification (whatever the metric), plain k-fold for regression.
-        if task == "classification":
-            folds = stratified_folds(y, cv=cv, random_state=random_state)
-        else:
-            folds = plain_folds(y, cv=cv, random_state=random_state)
-        scores = cross_val_score_folds(
-            estimator, X, y, folds, scorer, error_score=scorer.error_score
-        )
-        return float(scores.mean())
+        plan = FoldPlan.for_task(y, task=task, cv=cv, random_state=random_state)
+        return plan.score(registry.build(algorithm, config), X, y, scorer, scorer.error_score)
     except Exception as exc:  # noqa: BLE001 — failed algorithms score worst
         obs.error_event("performance.evaluate", exc)
-        return _worst_score(task, metric)
+        return scorer.error_score
 
 
 def tune_algorithm(
@@ -130,7 +115,7 @@ def tune_algorithm(
     budget = Budget(max_evaluations=max_evaluations, time_limit=time_limit)
     result = optimizer.optimize(problem, budget)
     if not np.isfinite(result.best_score):
-        return spec.default_config(), _worst_score(task, metric)
+        return spec.default_config(), resolve_scorer(metric, task).error_score
     return result.best_config, float(result.best_score)
 
 
@@ -206,6 +191,7 @@ class PerformanceTable:
         each other's partial progress.
         """
         task = resolve_task(task).value
+        worst = resolve_scorer(metric, task).error_score
         registry = registry if registry is not None else registry_for_task(task)
         rng = np.random.default_rng(random_state)
         names = registry.names
@@ -288,9 +274,7 @@ class PerformanceTable:
             },
         ):
             if coordinator is not None:
-                by_key = coordinator.run(
-                    context, cells, cell_objective, crash_score=_worst_score(task, metric)
-                )
+                by_key = coordinator.run(context, cells, cell_objective, crash_score=worst)
                 for cell in cells:
                     j = names.index(cell["algorithm"])
                     score = by_key[WorkCoordinator.cell_key(cell)]
@@ -300,7 +284,7 @@ class PerformanceTable:
                 engine = EvaluationEngine(
                     cell_objective,
                     n_workers=n_workers,
-                    crash_score=_worst_score(task, metric),
+                    crash_score=worst,
                     name="performance-table",
                     store=store,
                     store_context=context,

@@ -13,7 +13,7 @@ from .coordinator import CoordinatorStats, WorkCoordinator, claims_context
 from .engine import EngineStats, EvalOutcome, EvaluationEngine, timed_call
 from .folds import FoldPlan
 from .jobs import JobQueue, JobQueueStats, JobRecord
-from .objectives import cross_val_objective, estimator_engine, objective_context_suffix
+from .objectives import CrossValObjective, estimator_engine, objective_context_suffix
 from .store import ResultStore, StoreStats, fingerprint_key
 from .store_backends import (
     HttpStoreBackend,
@@ -38,7 +38,7 @@ __all__ = [
     "EvaluationEngine",
     "timed_call",
     "FoldPlan",
-    "cross_val_objective",
+    "CrossValObjective",
     "estimator_engine",
     "objective_context_suffix",
     "ResultStore",

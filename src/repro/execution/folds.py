@@ -1,12 +1,13 @@
-"""Precomputed cross-validation fold plans.
+"""Precomputed cross-validation fold plans: the package's one CV path.
 
-The paper scores every configuration ``f(λ, A, D)`` with stratified k-fold
-cross-validation on the same dataset, yet the seed implementation re-derived
-the folds inside every single evaluation.  A :class:`FoldPlan` materialises
-the split once per ``(dataset, cv, random_state)`` and is shared by every
-configuration the engine evaluates on that dataset — the folds are identical
-to what :func:`repro.learners.validation.cross_val_score` would produce, so
-scores are bit-for-bit unchanged.
+The paper's objective ``f(λ, A, D)`` is the k-fold cross-validation score of a
+configuration on a dataset.  A :class:`FoldPlan` draws the folds once per
+``(dataset, cv, random_state)`` and scores every configuration on them through
+:func:`repro.learners.validation.cross_val_score_folds`.  Every CV score in the
+package goes through one: the engine's
+:class:`~repro.execution.objectives.CrossValObjective`, the performance
+table's ``P(A, D)``, Table XIV's ``f(T, D)``, and the feature-subset and
+architecture scores of Algorithms 2 and 3.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class FoldPlan:
 
     @classmethod
     def stratified(cls, y, cv: int = 5, random_state: int | None = None) -> "FoldPlan":
-        """Build the plan :func:`cross_val_score` would use for ``(y, cv, seed)``."""
+        """Stratified k-fold plan — the classification CV protocol."""
         return cls(
             folds=stratified_folds(y, cv=cv, random_state=random_state),
             cv=cv,

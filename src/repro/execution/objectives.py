@@ -29,7 +29,6 @@ from .store import ResultStore
 
 __all__ = [
     "CrossValObjective",
-    "cross_val_objective",
     "estimator_engine",
     "objective_context_suffix",
 ]
@@ -136,29 +135,6 @@ class CrossValObjective:
         return state
 
 
-def cross_val_objective(
-    build: Callable[[dict[str, Any]], Any],
-    X,
-    y,
-    cv: int = 5,
-    random_state: int | None = None,
-    task: str = "classification",
-    metric: str | Scorer | None = None,
-) -> CrossValObjective:
-    """Construct the standard CV objective (see :class:`CrossValObjective`).
-
-    ``task="regression"`` switches to unstratified folds and the regression
-    default metric (R²); ``metric`` picks any registered scorer by name.
-
-    Raw object-dtype matrices (pipeline searches, where the configuration's
-    own steps impute/encode per fold) are passed through as-is; float input
-    keeps the historical coercion so bare-estimator scores are unchanged.
-    """
-    return CrossValObjective(
-        build, X, y, cv=cv, random_state=random_state, task=task, metric=metric
-    )
-
-
 def estimator_engine(
     build: Callable[[dict[str, Any]], Any],
     X,
@@ -182,10 +158,10 @@ def estimator_engine(
     ``store``/``store_context``/``warm_start`` are forwarded to the engine;
     the context should fingerprint the dataset and CV protocol so a
     persistent store never mixes scores across objectives.  ``task`` and
-    ``metric`` select the objective flavour (see :func:`cross_val_objective`);
+    ``metric`` select the objective flavour (see :class:`CrossValObjective`);
     non-default flavours are folded into the store context automatically.
     """
-    objective = cross_val_objective(
+    objective = CrossValObjective(
         build, X, y, cv=cv, random_state=random_state, task=task, metric=metric
     )
     suffix = objective_context_suffix(task, metric)

@@ -89,12 +89,9 @@ from .tree import BFTree, DecisionStump, DecisionTreeClassifier, J48, RandomTree
 from .validation import (
     KFold,
     StratifiedKFold,
-    cross_val_accuracy,
-    cross_val_score,
     cross_val_score_folds,
     plain_folds,
     stratified_folds,
-    train_test_split,
 )
 
 __all__ = [
@@ -142,6 +139,6 @@ __all__ = [
     "BFTree", "DecisionStump", "DecisionTreeClassifier", "J48", "RandomTree",
     "REPTree", "SimpleCart",
     # validation
-    "KFold", "StratifiedKFold", "cross_val_accuracy", "cross_val_score",
-    "cross_val_score_folds", "plain_folds", "stratified_folds", "train_test_split",
+    "KFold", "StratifiedKFold", "cross_val_score_folds", "plain_folds",
+    "stratified_folds",
 ]

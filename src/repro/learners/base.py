@@ -188,9 +188,3 @@ class BaseClassifier(BaseEstimator):
     def n_classes_(self) -> int:
         check_is_fitted(self)
         return int(len(self.classes_))
-
-    def _one_hot(self, labels: np.ndarray) -> np.ndarray:
-        """One-hot encode internal labels (already 0..n_classes-1)."""
-        out = np.zeros((labels.shape[0], self.n_classes_), dtype=np.float64)
-        out[np.arange(labels.shape[0]), labels] = 1.0
-        return out

@@ -187,6 +187,13 @@ class Scorer:
     error_score: float = 0.0
     task: str = "classification"
 
+    def __post_init__(self) -> None:
+        # Searches that end with no finite score report error_score as is.
+        if not np.isfinite(self.error_score):
+            raise ValueError(
+                f"scorer {self.name!r} needs a finite error_score, got {self.error_score!r}"
+            )
+
     def __call__(self, y_true, y_pred) -> float:
         value = float(self.fn(y_true, y_pred))
         return value if self.greater_is_better else -value

@@ -81,17 +81,6 @@ def _space(*params, conditions: dict[str, Condition] | None = None) -> ConfigSpa
     return space
 
 
-def _tree_space(include_criterion: bool = False) -> ConfigSpace:
-    params = [
-        IntParam("max_depth", 2, 25),
-        IntParam("min_samples_leaf", 1, 10),
-        IntParam("min_samples_split", 2, 20),
-    ]
-    if include_criterion:
-        params.append(CategoricalParam("criterion", ["gini", "entropy"]))
-    return ConfigSpace(params)
-
-
 def _build_specs() -> list[AlgorithmSpec]:
     specs: list[AlgorithmSpec] = []
 

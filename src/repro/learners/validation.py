@@ -1,8 +1,10 @@
-"""Resampling helpers: train/test splits and (stratified) k-fold CV.
+"""Resampling helpers: (stratified) k-fold splits and the one CV fold loop.
 
 The paper scores every configuration with k-fold cross-validation accuracy
-(10-fold in the evaluation, smaller k inside the GA loops), so the splitters
-here are the workhorse of both the HPO layer and the benchmark harness.
+(10-fold in the evaluation, smaller k inside the GA loops).  The splitters here
+draw the folds, and :func:`cross_val_score_folds` scores an estimator over
+them; :class:`repro.execution.folds.FoldPlan` fixes the folds once per dataset
+and is how every caller in the package computes a CV score.
 """
 
 from __future__ import annotations
@@ -16,56 +18,12 @@ from .base import BaseClassifier, clone
 from .metrics import accuracy_score
 
 __all__ = [
-    "train_test_split",
     "KFold",
     "StratifiedKFold",
     "stratified_folds",
     "plain_folds",
-    "cross_val_score",
     "cross_val_score_folds",
-    "cross_val_accuracy",
 ]
-
-
-def train_test_split(
-    X,
-    y,
-    test_size: float = 0.25,
-    random_state: int | None = None,
-    stratify: bool = False,
-):
-    """Split ``(X, y)`` into train and test partitions.
-
-    Returns ``X_train, X_test, y_train, y_test``.  With ``stratify=True`` the
-    class proportions of ``y`` are approximately preserved in both partitions.
-    """
-    X = np.asarray(X)
-    y = np.asarray(y)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y have different lengths")
-    if not 0.0 < test_size < 1.0:
-        raise ValueError("test_size must be in (0, 1)")
-    rng = np.random.default_rng(random_state)
-    n = X.shape[0]
-    if stratify:
-        test_idx: list[int] = []
-        for label in np.unique(y):
-            members = np.flatnonzero(y == label)
-            members = rng.permutation(members)
-            take = max(1, int(round(test_size * len(members)))) if len(members) > 1 else 0
-            test_idx.extend(members[:take].tolist())
-        test_mask = np.zeros(n, dtype=bool)
-        test_mask[test_idx] = True
-        if not test_mask.any() or test_mask.all():
-            # Degenerate stratification (e.g. every class a singleton): fall back.
-            return train_test_split(X, y, test_size, random_state, stratify=False)
-    else:
-        permutation = rng.permutation(n)
-        n_test = max(1, int(round(test_size * n)))
-        n_test = min(n_test, n - 1)
-        test_mask = np.zeros(n, dtype=bool)
-        test_mask[permutation[:n_test]] = True
-    return X[~test_mask], X[test_mask], y[~test_mask], y[test_mask]
 
 
 class KFold:
@@ -134,7 +92,7 @@ def _effective_splits(y: np.ndarray, requested: int) -> int:
 def stratified_folds(
     y, cv: int = 5, random_state: int | None = None
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Materialise the stratified CV folds :func:`cross_val_score` would use.
+    """Materialise stratified CV folds, the classification protocol.
 
     Fold computation depends only on ``(y, cv, random_state)``, never on the
     configuration being scored, so the execution engine precomputes the folds
@@ -200,24 +158,3 @@ def cross_val_score_folds(
     if not scores:
         return np.array([float(error_score)])
     return np.array(scores, dtype=np.float64)
-
-
-def cross_val_score(
-    estimator: BaseClassifier,
-    X,
-    y,
-    cv: int = 5,
-    scoring: Callable[[Sequence, Sequence], float] = accuracy_score,
-    random_state: int | None = None,
-) -> np.ndarray:
-    """Return the per-fold scores of ``estimator`` under stratified k-fold CV."""
-    return cross_val_score_folds(
-        estimator, X, y, stratified_folds(y, cv=cv, random_state=random_state), scoring
-    )
-
-
-def cross_val_accuracy(
-    estimator: BaseClassifier, X, y, cv: int = 5, random_state: int | None = None
-) -> float:
-    """Mean k-fold cross-validation accuracy (the paper's ``f(λ, A, D)``)."""
-    return float(cross_val_score(estimator, X, y, cv=cv, random_state=random_state).mean())

@@ -15,7 +15,7 @@ import pytest
 
 from repro.execution import EvaluationEngine, estimator_engine
 from repro.execution import dataplane
-from repro.execution.objectives import CrossValObjective, cross_val_objective
+from repro.execution.objectives import CrossValObjective
 from repro.learners import default_registry
 
 
@@ -75,7 +75,7 @@ def test_register_and_local_block_roundtrip():
 
 def test_detached_pickle_drops_the_matrices(simple_xy):
     X, y = simple_xy
-    objective = cross_val_objective(TreeBuilder(), X, y, cv=3, random_state=0)
+    objective = CrossValObjective(TreeBuilder(), X, y, cv=3, random_state=0)
     heavy = len(pickle.dumps(objective))
     objective.detach_payload = True
     light = len(pickle.dumps(objective))
@@ -88,7 +88,7 @@ def test_detached_pickle_drops_the_matrices(simple_xy):
 
 def test_unseeded_detached_copy_raises_instead_of_recomputing(simple_xy):
     X, y = simple_xy
-    objective = cross_val_objective(TreeBuilder(), X, y, cv=3, random_state=0)
+    objective = CrossValObjective(TreeBuilder(), X, y, cv=3, random_state=0)
     objective.detach_payload = True
     clone = pickle.loads(pickle.dumps(objective))
     with pytest.raises(RuntimeError, match="not registered"):
@@ -97,7 +97,7 @@ def test_unseeded_detached_copy_raises_instead_of_recomputing(simple_xy):
 
 def test_seeded_detached_copy_rebinds_and_reports_attachment(simple_xy):
     X, y = simple_xy
-    objective = cross_val_objective(TreeBuilder(), X, y, cv=3, random_state=0)
+    objective = CrossValObjective(TreeBuilder(), X, y, cv=3, random_state=0)
     objective.detach_payload = True
     clone = pickle.loads(pickle.dumps(objective))
     try:

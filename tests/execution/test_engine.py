@@ -25,7 +25,7 @@ from repro.hpo import Budget as HPOBudget
 from repro.hpo import GeneticAlgorithm, HPOProblem, RandomSearch
 from repro.hpo.selector import HPOTechniqueSelector
 from repro.hpo.space import CategoricalParam, ConfigSpace, FloatParam, IntParam
-from repro.learners import cross_val_accuracy
+from repro.learners import cross_val_score_folds, stratified_folds
 from repro.learners.tree import DecisionStump
 
 
@@ -470,12 +470,13 @@ class TestWarmStartEquivalence:
 
 
 class TestFoldPlan:
-    def test_scores_match_cross_val_accuracy(self, binary_xy):
+    def test_scores_match_the_fold_loop(self, binary_xy):
         X, y = binary_xy
         plan = FoldPlan.stratified(y, cv=4, random_state=3)
         stump = DecisionStump()
+        folds = stratified_folds(y, cv=4, random_state=3)
         assert plan.score(stump, X, y) == pytest.approx(
-            cross_val_accuracy(stump, X, y, cv=4, random_state=3)
+            cross_val_score_folds(stump, X, y, folds).mean()
         )
 
     def test_estimator_engine_scores_match_direct_cv(self, binary_xy):
@@ -484,8 +485,9 @@ class TestFoldPlan:
             lambda config: DecisionStump(), X, y, cv=4, random_state=3
         )
         outcome = engine.evaluate({})
+        folds = stratified_folds(y, cv=4, random_state=3)
         assert outcome.score == pytest.approx(
-            cross_val_accuracy(DecisionStump(), X, y, cv=4, random_state=3)
+            cross_val_score_folds(DecisionStump(), X, y, folds).mean()
         )
 
     def test_build_crash_scores_crash_score(self, binary_xy):

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from repro.execution import (
+    CrossValObjective,
     FoldPlan,
-    cross_val_objective,
     estimator_engine,
     objective_context_suffix,
 )
 from repro.execution.cache import config_fingerprint
 from repro.learners import default_regression_registry, default_registry
-from repro.learners.metrics import SCORERS, resolve_scorer
+from repro.learners.metrics import SCORERS, Scorer, r2_score, resolve_scorer
 from repro.learners.validation import plain_folds, stratified_folds
 
 
@@ -74,7 +74,7 @@ class TestClassificationUnchanged:
     def test_classification_objective_scores_identical_to_foldplan(self, simple_xy):
         X, y = simple_xy
         spec = default_registry().get("NaiveBayes")
-        objective = cross_val_objective(spec.build, X, y, cv=3, random_state=0)
+        objective = CrossValObjective(spec.build, X, y, cv=3, random_state=0)
         plan = FoldPlan.stratified(y, cv=3, random_state=0)
         config = spec.default_config()
         assert objective(config) == plan.score(spec.build(config), X, y)
@@ -109,7 +109,7 @@ class TestRegressionObjective:
     def test_regression_objective_uses_plain_folds(self, regression_xy):
         X, y = regression_xy
         spec = default_regression_registry().get("Ridge")
-        objective = cross_val_objective(
+        objective = CrossValObjective(
             spec.build, X, y, cv=4, random_state=0, task="regression"
         )
         plan = objective.fold_plan
@@ -123,10 +123,10 @@ class TestRegressionObjective:
     def test_regression_objective_maximizes_r2(self, regression_xy):
         X, y = regression_xy
         registry = default_regression_registry()
-        ridge = cross_val_objective(
+        ridge = CrossValObjective(
             registry.get("Ridge").build, X, y, cv=3, random_state=0, task="regression"
         )
-        dummy = cross_val_objective(
+        dummy = CrossValObjective(
             registry.get("DummyRegressor").build, X, y, cv=3, random_state=0,
             task="regression",
         )
@@ -135,7 +135,7 @@ class TestRegressionObjective:
     def test_rmse_metric_is_negated(self, regression_xy):
         X, y = regression_xy
         spec = default_regression_registry().get("Ridge")
-        objective = cross_val_objective(
+        objective = CrossValObjective(
             spec.build, X, y, cv=3, random_state=0, task="regression", metric="rmse"
         )
         score = objective({"alpha": 1.0})
@@ -154,7 +154,7 @@ class TestRegressionObjective:
         X, y = regression_xy
         spec = default_regression_registry().get("Ridge")
         with pytest.raises(ValueError, match="unknown task"):
-            cross_val_objective(spec.build, X, y, task="ranking")
+            CrossValObjective(spec.build, X, y, task="ranking")
 
 
 class TestScorers:
@@ -238,3 +238,10 @@ class TestScorers:
         assert plan.metadata.get("stratified") is False
         with pytest.raises(ValueError, match="unknown task"):
             FoldPlan.for_task(y, task="bogus")
+
+    @pytest.mark.parametrize("error_score", [float("-inf"), float("inf"), float("nan")])
+    def test_non_finite_error_score_is_rejected(self, error_score):
+        # A search that ends with no finite score reports the error score as
+        # is, so a scorer cannot be built without a finite one.
+        with pytest.raises(ValueError, match="finite error_score"):
+            Scorer("custom", r2_score, True, error_score, "regression")

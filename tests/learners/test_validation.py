@@ -1,48 +1,12 @@
-"""Tests for resampling: splits, k-fold CV and cross_val_score."""
+"""Tests for resampling: k-fold splits and stratified CV scores on a FoldPlan."""
 
 import numpy as np
 import pytest
 
+from repro.execution.folds import FoldPlan
 from repro.learners.rules import ZeroR
 from repro.learners.tree import J48
-from repro.learners.validation import (
-    KFold,
-    StratifiedKFold,
-    cross_val_accuracy,
-    cross_val_score,
-    train_test_split,
-)
-
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        X = np.arange(100).reshape(-1, 1).astype(float)
-        y = np.arange(100) % 2
-        X_tr, X_te, y_tr, y_te = train_test_split(X, y, test_size=0.25, random_state=0)
-        assert len(X_te) == 25
-        assert len(X_tr) + len(X_te) == 100
-        assert len(y_tr) == len(X_tr)
-
-    def test_no_overlap(self):
-        X = np.arange(50).reshape(-1, 1).astype(float)
-        y = np.arange(50) % 2
-        X_tr, X_te, _, _ = train_test_split(X, y, test_size=0.3, random_state=1)
-        assert set(X_tr.ravel()).isdisjoint(set(X_te.ravel()))
-
-    def test_stratified_preserves_classes(self):
-        X = np.zeros((100, 1))
-        y = np.array([0] * 80 + [1] * 20)
-        _, _, y_tr, y_te = train_test_split(X, y, test_size=0.25, random_state=0, stratify=True)
-        assert set(np.unique(y_te)) == {0, 1}
-        assert np.mean(y_te == 1) == pytest.approx(0.2, abs=0.1)
-
-    def test_invalid_test_size_raises(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((10, 1)), np.zeros(10), test_size=1.5)
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((10, 1)), np.zeros(9))
+from repro.learners.validation import KFold, StratifiedKFold
 
 
 class TestKFold:
@@ -88,7 +52,7 @@ class TestStratifiedKFold:
 class TestCrossValScore:
     def test_returns_one_score_per_fold(self, simple_xy):
         X, y = simple_xy
-        scores = cross_val_score(J48(), X, y, cv=4, random_state=0)
+        scores = FoldPlan.stratified(y, cv=4, random_state=0).scores(J48(), X, y)
         assert len(scores) == 4
         assert np.all((scores >= 0) & (scores <= 1))
 
@@ -96,14 +60,13 @@ class TestCrossValScore:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(200, 3))
         y = np.array([0] * 150 + [1] * 50)
-        accuracy = cross_val_accuracy(ZeroR(), X, y, cv=5, random_state=0)
+        accuracy = FoldPlan.stratified(y, cv=5, random_state=0).score(ZeroR(), X, y)
         assert accuracy == pytest.approx(0.75, abs=0.05)
 
     def test_informative_model_beats_zero_r(self, simple_xy):
         X, y = simple_xy
-        assert cross_val_accuracy(J48(), X, y, cv=3, random_state=0) > cross_val_accuracy(
-            ZeroR(), X, y, cv=3, random_state=0
-        )
+        plan = FoldPlan.stratified(y, cv=3, random_state=0)
+        assert plan.score(J48(), X, y) > plan.score(ZeroR(), X, y)
 
     def test_crashing_estimator_scores_zero_not_raises(self, simple_xy):
         class Broken(J48):
@@ -111,12 +74,12 @@ class TestCrossValScore:
                 raise RuntimeError("boom")
 
         X, y = simple_xy
-        scores = cross_val_score(Broken(), X, y, cv=3, random_state=0)
+        scores = FoldPlan.stratified(y, cv=3, random_state=0).scores(Broken(), X, y)
         assert np.all(scores == 0.0)
 
     def test_cv_clamped_for_tiny_classes(self):
         # One class has only 2 members; requesting 10 folds must not crash.
         X = np.random.default_rng(0).normal(size=(20, 2))
         y = np.array([0] * 18 + [1] * 2)
-        scores = cross_val_score(J48(), X, y, cv=10, random_state=0)
+        scores = FoldPlan.stratified(y, cv=10, random_state=0).scores(J48(), X, y)
         assert len(scores) >= 2

@@ -105,3 +105,41 @@ class TestOtherBaselines:
         solution = baseline.run(blobs_dataset, time_limit=None, max_evaluations=5)
         assert solution.algorithm == expected
         assert solution.optimizer == "single-best"
+
+
+class TestFallbackScore:
+    """A search that ends with no finite score reports the scorer's error score."""
+
+    @staticmethod
+    def broken_registry():
+        from repro.hpo.space import ConfigSpace, FloatParam
+        from repro.learners.registry import AlgorithmRegistry, AlgorithmSpec
+
+        def broken(**config):
+            raise RuntimeError("cannot build")
+
+        space = ConfigSpace([FloatParam("alpha", 0.1, 1.0)])
+        return AlgorithmRegistry([AlgorithmSpec("Broken", "functions", broken, space)])
+
+    def test_every_tool_reports_the_regression_error_score(self, linear_regression_dataset):
+        from repro import UserDemandResponser
+        from repro.evaluation import PerformanceTable
+        from repro.learners.metrics import resolve_scorer
+
+        registry = self.broken_registry()
+        error_score = resolve_scorer(None, "regression").error_score
+        single_best = SingleBestBaseline(
+            PerformanceTable(["Broken"], ["lin-reg"], [[0.5]]),
+            registry=registry, cv=3, task="regression",
+        ).run(linear_regression_dataset, time_limit=None, max_evaluations=3)
+        autoweka = AutoWekaBaseline(registry=registry, cv=3, task="regression").run(
+            linear_regression_dataset, time_limit=None, max_evaluations=3
+        )
+        udr = UserDemandResponser(model=None, registry=registry, cv=3, task="regression").respond(
+            linear_regression_dataset, time_limit=None, max_evaluations=3,
+            fit_final_estimator=False, algorithm="Broken",
+        )
+        assert error_score == -1e12
+        assert single_best.cv_score == error_score
+        assert autoweka.cv_score == error_score
+        assert udr.cv_score == error_score

@@ -252,6 +252,29 @@ class TestCashEvaluation:
         wins = result.win_counts()
         assert wins["good"] >= wins["trivial"]
 
+    @pytest.mark.parametrize("pass_registry", [True, False])
+    def test_regression_f_score_is_the_solutions_r2(
+        self, pass_registry, linear_regression_dataset, small_regression_registry
+    ):
+        from repro.baselines import RandomCASH
+        from repro.learners import default_regression_registry
+
+        tool = RandomCASH(
+            registry=small_regression_registry, cv=3, random_state=0, task="regression"
+        )
+        evaluation = evaluate_cash_tool(
+            tool, linear_regression_dataset, tool_name="random", time_limit=None,
+            max_evaluations=4, cv=3,
+            registry=small_regression_registry if pass_registry else None,
+        )
+        r2 = evaluate_algorithm(
+            default_regression_registry(), evaluation.algorithm, linear_regression_dataset,
+            config=evaluation.config, cv=3, max_records=800, random_state=0,
+            task="regression",
+        )
+        assert evaluation.f_score == r2
+        assert evaluation.f_score != 0.0
+
     def test_missing_cell_raises(self, blobs_dataset, small_registry):
         result = compare_tools(
             {"only": self._FixedTool("ZeroR")}, [blobs_dataset], time_limits=[None],

@@ -289,8 +289,8 @@ class TestBareBehaviourByteIdentical:
         )
 
     def test_clean_data_bare_scores_match_legacy_impute_then_encode(self, bare_catalogue):
+        from repro.execution import FoldPlan
         from repro.learners.preprocessing import OneHotEncoder, SimpleImputer
-        from repro.learners.validation import cross_val_accuracy
 
         clean = make_dataset(
             "gaussian_clusters", "clean-check", n_records=100, n_numeric=4,
@@ -303,8 +303,9 @@ class TestBareBehaviourByteIdentical:
         ])
         assert np.array_equal(X_now, X_legacy)
         estimator = bare_catalogue.build("NaiveBayes", {})
-        score_now = cross_val_accuracy(estimator, X_now, y, cv=3, random_state=0)
-        score_legacy = cross_val_accuracy(estimator, X_legacy, y, cv=3, random_state=0)
+        plan = FoldPlan.stratified(y, cv=3, random_state=0)
+        score_now = plan.score(estimator, X_now, y)
+        score_legacy = plan.score(estimator, X_legacy, y)
         assert score_now == score_legacy
 
     def test_bare_store_shards_replay_identically(self, bare_catalogue, tmp_path):
