@@ -37,7 +37,8 @@ def golden_registry() -> AlgorithmRegistry:
         "c", AndCondition((Condition("a", (True,)), Condition("b", (True,))))
     )
     pipelines = pipeline_registry(default_registry().subset(CATALOGUE))
-    return AlgorithmRegistry([*pipelines, AlgorithmSpec("Z", "rules", lambda **kw: ZeroR(), compound)])
+    nested = AlgorithmSpec("Z", "rules", lambda **kw: ZeroR(), compound)
+    return AlgorithmRegistry([*pipelines, nested])
 
 
 def unit_vector(space: ConfigSpace, config: dict) -> list[str]:
